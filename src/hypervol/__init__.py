@@ -3,8 +3,8 @@
 Geodesics in the Klein model are Euclidean chords, so hyperbolic convex
 hulls coincide with Euclidean ones and polytope machinery applies
 verbatim; all metric quantities come from the density
-(1 - |x|^2)^(-(n+1)/2).  The package computes hull volumes (exact in the
-plane, adaptive quadrature or Monte Carlo above), vertex-cone integrals
+(1 - |x|^2)^(-(n+1)/2).  The package computes hull volumes (exact in 2D
+and 3D, adaptive quadrature or Monte Carlo above), vertex-cone integrals
 with explicit majorants, and epsilon-extension volumes with packing
 certificates, plus a CLI for the desk-scale experiment sweeps.
 """
@@ -42,6 +42,7 @@ from .volume import (
     VolumeEstimate,
     klein_angle,
     polytope_volume,
+    preferred_method,
     region_volume_mc,
     simplex_volume,
     triangle_area_2d,

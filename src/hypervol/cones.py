@@ -402,10 +402,16 @@ def _section_integral_uv(section: ConeSection, n: int, limit: int = 300):
     for f, lo, hi in pieces:
         if hi - lo <= 1e-15:
             continue
-        val, _ = _quad(
-            f, lo, hi, limit=limit, epsabs=1e-14, epsrel=1e-9
-        )
-        total += val
+        # near a truncated apex the integrand varies on the scale of u
+        # itself; one quad call over [lo, hi] samples too coarsely near lo
+        # and can miss most of a narrow section, so split geometrically
+        cuts = [lo]
+        while lo > 0.0 and cuts[-1] * 10.0 < hi:
+            cuts.append(cuts[-1] * 10.0)
+        cuts.append(hi)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            val, _ = _quad(f, a, b, limit=limit, epsabs=1e-14, epsrel=1e-9)
+            total += val
     return total, evals
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .klein import KleinPoint, density_array, dist_matrix, translation_to
-from .hull import DegenerateHullError, Polytope, convex_hull
+from .hull import DegenerateHullError, convex_hull
 from .rng import substream
-from .volume import polytope_volume, simplex_volume
+from .volume import polytope_volume, preferred_method, simplex_volume
 from .cones import (
     PHI_CAP,
     cone_integral_bound,
@@ -226,12 +226,6 @@ def regular_simplex(n: int, pairwise: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # command: hull volume growth in N
 
-def _hull_volume_auto(poly: Polytope, budget: int, seed: int):
-    if poly.dim == 2:
-        return polytope_volume(poly, method="exact_2d")
-    return polytope_volume(poly, method="quadrature", budget=budget, seed=seed)
-
-
 def cmd_theorem1_sweep(config: RunConfig):
     """Hull volume versus point count for the named families.
 
@@ -269,7 +263,9 @@ def cmd_theorem1_sweep(config: RunConfig):
                             f"degenerate hull retried: n={n} N={size} rep={rep}"
                         )
                         continue
-                    est = _hull_volume_auto(poly, config.budget, used_seed)
+                    est = polytope_volume(
+                        poly, preferred_method(n), config.budget, used_seed
+                    )
                     break
                 if est is None:
                     failures.append(f"hull failed: n={n} N={size} rep={rep}")
@@ -333,17 +329,21 @@ def cmd_theorem2_check(config: RunConfig):
     rows: list[list] = []
     failures: list[str] = []
     eps = config.epsilon
+
+    def ratio(pts, seed_r):
+        return theorem2_ratio(
+            pts, eps, samples=config.mc_samples,
+            boundary_samples=config.boundary_samples, budget=config.budget,
+            seed=seed_r, workers=config.workers,
+        )
+
     inst = 0
     two_point = []
     for d in config.d_values:
         seed_r = _derive_seed(config.seed, 2, inst)
         p = math.tanh(d / 2.0)
         pts = np.array([[-p, 0.0], [p, 0.0]])
-        rep = theorem2_ratio(
-            pts, eps, samples=config.mc_samples,
-            boundary_samples=config.boundary_samples, seed=seed_r,
-            workers=config.workers,
-        )
+        rep = ratio(pts, seed_r)
         rows.append([
             inst, "two-point", 2, eps, float(d), seed_r, config.budget,
             config.mc_samples, rep["hull"].value, rep["union"].value,
@@ -371,11 +371,7 @@ def cmd_theorem2_check(config: RunConfig):
                 "clustered", n, 20, seed_r, clusters=config.clusters,
                 cluster_radius=config.cluster_radius, spread=config.spread,
             )
-            rep = theorem2_ratio(
-                pts, eps, samples=config.mc_samples,
-                boundary_samples=config.boundary_samples, seed=seed_r,
-                workers=config.workers,
-            )
+            rep = ratio(pts, seed_r)
             rows.append([
                 inst, "cluster", n, eps, "", seed_r, config.budget,
                 config.mc_samples, rep["hull"].value, rep["union"].value,
@@ -389,11 +385,7 @@ def cmd_theorem2_check(config: RunConfig):
             inst += 1
     seed_r = _derive_seed(config.seed, 2, 500)
     pts = generate_points("chain", 2, 8, seed_r, chain_spacing=config.chain_spacing)
-    rep = theorem2_ratio(
-        pts, eps, samples=config.mc_samples,
-        boundary_samples=config.boundary_samples, seed=seed_r,
-        workers=config.workers,
-    )
+    rep = ratio(pts, seed_r)
     rows.append([
         inst, "chain", 2, eps, "", seed_r, config.budget, config.mc_samples,
         rep["hull"].value, rep["union"].value, rep["ratio"],
@@ -404,11 +396,7 @@ def cmd_theorem2_check(config: RunConfig):
     inst += 1
     seed_r = _derive_seed(config.seed, 2, 600)
     pts = generate_points("uniform-ball", 2, 40, seed_r, radius=config.ball_radius)
-    rep = theorem2_ratio(
-        pts, eps, samples=config.mc_samples,
-        boundary_samples=config.boundary_samples, seed=seed_r,
-        workers=config.workers,
-    )
+    rep = ratio(pts, seed_r)
     rows.append([
         inst, "dense-ball", 2, eps, "", seed_r, config.budget,
         config.mc_samples, rep["hull"].value, rep["union"].value,
@@ -524,7 +512,7 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
                 [[math.cos(a), math.sin(a)] for a in angles]
             )
             pts.append(tri)
-            total += simplex_volume(tri, method="exact_2d").value
+            total += simplex_volume(tri, preferred_method(n)).value
     else:
         caps = _regular_directions(n, groups)
         beta = 0.35
@@ -539,7 +527,7 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
             spx = IDEAL_TRUNCATION * np.array(group)
             pts.append(spx)
             total += simplex_volume(
-                spx, method="quadrature", budget=budget, seed=seed
+                spx, preferred_method(n), budget=budget, seed=seed
             ).value
     flat = np.vstack(pts)
     extra = count - flat.shape[0]
@@ -576,7 +564,9 @@ def cmd_extremal_search(config: RunConfig):
             poly = convex_hull(p)
         except DegenerateHullError:
             return 0.0
-        return _hull_volume_auto(poly, obj_budget, config.seed).value
+        return polytope_volume(
+            poly, preferred_method(n), obj_budget, config.seed
+        ).value
 
     rng = substream(_derive_seed(config.seed, n, count))
     cur = pts.copy()
@@ -681,7 +671,9 @@ def cmd_hull_volume(config: RunConfig):
         raise ValueError("hull-volume needs points_path in the config")
     pts = pointcloud.load_points(config.points_path)
     poly = convex_hull(pts)
-    est = _hull_volume_auto(poly, config.budget, config.seed)
+    est = polytope_volume(
+        poly, preferred_method(poly.dim), config.budget, config.seed
+    )
     summary = {
         "n": int(pts.shape[1]),
         "num_points": int(pts.shape[0]),

@@ -21,7 +21,13 @@ from .klein import (
 )
 from .hull import Polytope, convex_hull
 from .rng import substream
-from .volume import Region, VolumeEstimate, polytope_volume, region_volume_mc
+from .volume import (
+    Region,
+    VolumeEstimate,
+    polytope_volume,
+    preferred_method,
+    region_volume_mc,
+)
 
 __all__ = [
     "PackingBoundError",
@@ -219,17 +225,17 @@ def theorem2_ratio(
     boundary_samples: int = 256,
     seed: int = 0,
     workers: int = 1,
+    budget: int | None = None,
 ) -> dict:
     """Vol(Conv(A_eps)) / Vol(A_eps), hull by inner approximation.
 
-    Returns the ratio together with both estimates; the hull volume uses
-    the deterministic facet quadrature, the union volume Monte Carlo.
+    Returns the ratio together with both estimates.  The hull volume takes
+    the route `preferred_method` picks: a closed form in 2D and 3D, facet
+    quadrature with evaluation budget `budget` above.  The union volume is
+    Monte Carlo with `samples` draws.
     """
     poly = hull_of_extension(points, epsilon, boundary_samples, seed=seed)
-    if poly.dim == 2:
-        hull_est = polytope_volume(poly, method="exact_2d")
-    else:
-        hull_est = polytope_volume(poly, method="quadrature", budget=samples)
+    hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
     union_est = extension_volume(
         points, epsilon, samples=samples, seed=seed, workers=workers,
         check_lower_bound=False,

@@ -1,8 +1,16 @@
 """Hyperbolic volumes of simplices, polytopes, and membership regions.
 
-Every deterministic volume here is reduced to cone integrals over the
-facets of a body that has been recentered by an isometry.  For a facet F
-on a hyperplane at Euclidean distance h from the origin,
+Three routes never share code paths.  Closed forms are exact in 2D and
+3D: the angle defect of an apex triangulation in the plane, and in space
+the cone from the center over each facet cut into signed orthoschemes
+whose volumes follow from the Lobachevsky function (Coxeter; Kellerhals,
+"On the volume of hyperbolic polyhedra", Math. Ann. 285, 1989).
+`preferred_method` picks the closed form where one exists and adaptive
+quadrature above it.
+
+The quadrature reduces every volume to cone integrals over the facets of
+a body that has been recentered by an isometry.  For a facet F on a
+hyperplane at Euclidean distance h from the origin,
 
     Vol(cone(0, F)) = h * integral_F  m_n(|q|) / |q|^n  dS(q),
 
@@ -29,11 +37,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .klein import (
     BOUNDARY_TOL,
-    IdealPoint,
-    KleinPoint,
     as_coords,
     density_array,
     sinh_power_integral,
@@ -48,9 +55,11 @@ __all__ = [
     "Region",
     "simplex_volume",
     "polytope_volume",
+    "preferred_method",
     "region_volume_mc",
     "triangle_area_2d",
     "klein_angle",
+    "lobachevsky",
     "MC_CHUNK",
 ]
 
@@ -329,50 +338,30 @@ def _simplex_mc(verts: np.ndarray, samples: int, seed: int) -> VolumeEstimate:
     )
 
 
-def simplex_volume(
-    s, method: str = "quadrature", budget=None, seed: int = 0
-) -> VolumeEstimate:
-    """Hyperbolic volume of a full-dimensional simplex.
+def preferred_method(n: int) -> str:
+    """The volume route the experiments use in dimension n.
 
-    method "quadrature": recenter at the centroid by an isometry, then sum
-    exact-radial cone integrals over the facets (adaptive; for n >= 5 this
-    falls back to Monte Carlo, which is the documented behavior).  Returns
-    std_error 0 and the achieved relative tolerance in metadata; if the
-    evaluation budget is exhausted first the result is best-effort and
-    achieved_rel_tol reports how far it got.
-    method "monte_carlo": uniform Dirichlet sampling, unbiased, std_error
-    from the sample variance.
-    method "exact_2d": angle-defect area, n = 2 only.
+    The closed forms where they exist: exact_2d in the plane, exact_3d in
+    space.  Adaptive quadrature from n = 4 on, which itself falls back to
+    Monte Carlo for n >= 5.
     """
-    verts = _simplex_vertices(s)
-    n = verts.shape[1]
-    if verts.shape[0] != n + 1:
-        raise ValueError("simplex must be full-dimensional (n+1 vertices)")
-    if method == "exact_2d":
-        if n != 2:
-            raise ValueError("exact_2d needs n = 2")
-        return VolumeEstimate(
-            value=triangle_area_2d(*verts), std_error=0.0, evaluations=3,
-            method="exact_2d",
-        )
-    if method == "monte_carlo":
-        samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
-        return _simplex_mc(verts, samples, seed)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    if n >= 5:
-        samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
-        return _simplex_mc(verts, samples, seed)
-    max_evals = int(budget) if budget else _DEFAULT_QUAD_EVALS
-    g = translate_to_origin(verts.mean(axis=0))
-    mapped = g.apply_array(verts)
+    return {2: "exact_2d", 3: "exact_3d"}.get(n, "quadrature")
+
+
+def _quadrature(verts: np.ndarray, center, facets, per_facet: int) -> VolumeEstimate:
+    """Sum of the facet cone integrals after moving `center` to the origin.
+
+    Flags low_confidence when the summed error bound misses the requested
+    relative tolerance, which happens when the budget runs out first.
+    """
+    mapped = translate_to_origin(center).apply_array(verts)
     total = 0.0
     total_err = 0.0
     evals = 0
-    per_facet = max(max_evals // (n + 1), 1000)
-    for drop in range(n + 1):
-        fverts = np.delete(mapped, drop, axis=0)
-        v, e, used = _cone_facet_integral(fverts, _DEFAULT_REL_TOL, per_facet)
+    for facet in facets:
+        v, e, used = _cone_facet_integral(
+            mapped[list(facet)], _DEFAULT_REL_TOL, per_facet
+        )
         total += v
         total_err += e
         evals += used
@@ -382,8 +371,65 @@ def simplex_volume(
         std_error=0.0,
         evaluations=evals,
         method="quadrature",
+        low_confidence=achieved > _DEFAULT_REL_TOL,
         achieved_rel_tol=achieved,
     )
+
+
+def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
+    """Closed-form volume from the facet cones at `center`, n = 3."""
+    mapped = translate_to_origin(center).apply_array(verts)
+    value = _orthoscheme_sum(mapped[np.asarray(facets)])
+    return VolumeEstimate(max(value, 0.0), 0.0, 6 * len(facets), "exact_3d")
+
+
+def _check_dim(method: str, n: int) -> None:
+    want = {"exact_2d": 2, "exact_3d": 3}[method]
+    if n != want:
+        raise ValueError(f"{method} needs n = {want}")
+
+
+def simplex_volume(
+    s, method: str = "quadrature", budget=None, seed: int = 0
+) -> VolumeEstimate:
+    """Hyperbolic volume of a full-dimensional simplex.
+
+    method "quadrature": recenter at the centroid by an isometry, then sum
+    exact-radial cone integrals over the facets (adaptive; for n >= 5 this
+    falls back to Monte Carlo, which is the documented behavior).  Returns
+    std_error 0 and the achieved relative tolerance in metadata; if the
+    evaluation budget is exhausted first the result is best-effort,
+    achieved_rel_tol reports how far it got, and low_confidence is set.
+    method "monte_carlo": uniform Dirichlet sampling, unbiased, std_error
+    from the sample variance.
+    method "exact_2d": angle-defect area, n = 2 only.
+    method "exact_3d": orthoscheme decomposition, n = 3 only.
+    """
+    verts = _simplex_vertices(s)
+    n = verts.shape[1]
+    if verts.shape[0] != n + 1:
+        raise ValueError("simplex must be full-dimensional (n+1 vertices)")
+    facets = [tuple(i for i in range(n + 1) if i != drop) for drop in range(n + 1)]
+    if method == "exact_2d":
+        _check_dim(method, n)
+        return VolumeEstimate(
+            value=float(_angle_defects(verts[None])[0]), std_error=0.0,
+            evaluations=3, method="exact_2d",
+        )
+    if method == "exact_3d":
+        _check_dim(method, n)
+        return _exact_3d(verts, verts.mean(axis=0), facets)
+    if method == "monte_carlo":
+        samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
+        return _simplex_mc(verts, samples, seed)
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    if n >= 5:
+        samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
+        return _simplex_mc(verts, samples, seed)
+    max_evals = int(budget) if budget else _DEFAULT_QUAD_EVALS
+    per_facet = max(max_evals // (n + 1), 1000)
+    return _quadrature(verts, verts.mean(axis=0), facets, per_facet)
 
 
 def polytope_volume(
@@ -391,22 +437,28 @@ def polytope_volume(
 ) -> VolumeEstimate:
     """Hyperbolic volume of a polytope.
 
-    Quadrature recenters the whole polytope once (centroid to origin) and
-    sums the facet cone integrals; Monte Carlo triangulates from the
-    centroid and adds per-simplex estimates with errors in quadrature.
-    A degenerate (lower-dimensional) vertex set yields the volume-0 result.
+    The closed forms and the quadrature work from the interior point:
+    exact_2d sums the angle defects of the triangles it fans out to the
+    edges, exact_3d and quadrature recenter the polytope there by an
+    isometry and sum the facet cones.  Monte Carlo triangulates from the
+    interior point and adds per-simplex estimates with errors in
+    quadrature.  A degenerate (lower-dimensional) vertex set yields the
+    volume-0 result.
     """
     if affine_rank(poly.vertices) < poly.dim:
         return VolumeEstimate(0.0, 0.0, 0, method)
     n = poly.dim
     if method == "exact_2d":
-        if n != 2:
-            raise ValueError("exact_2d needs n = 2")
-        apex = poly.interior_point()
-        total = 0.0
-        for spx in apex_triangulation(poly, apex):
-            total += triangle_area_2d(*spx.vertices)
-        return VolumeEstimate(total, 0.0, 3 * len(poly.facets), "exact_2d")
+        _check_dim(method, n)
+        edges = poly.vertices[np.asarray(poly.facets)]
+        apex = np.broadcast_to(poly.interior_point(), (len(edges), 1, 2))
+        fan = np.concatenate([apex, edges], axis=1)
+        return VolumeEstimate(
+            float(_angle_defects(fan).sum()), 0.0, 3 * len(edges), "exact_2d"
+        )
+    if method == "exact_3d":
+        _check_dim(method, n)
+        return _exact_3d(poly.vertices, poly.interior_point(), poly.facets)
     if method == "monte_carlo":
         samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
         simplices = apex_triangulation(poly, poly.interior_point())
@@ -427,27 +479,8 @@ def polytope_volume(
     max_evals = int(budget) if budget else _DEFAULT_QUAD_EVALS * max(
         1, len(poly.facets) // 4
     )
-    g = translate_to_origin(poly.interior_point())
-    mapped = g.apply_array(poly.vertices)
     per_facet = max(max_evals // len(poly.facets), 2000)
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    for facet in poly.facets:
-        v, e, used = _cone_facet_integral(
-            mapped[list(facet)], _DEFAULT_REL_TOL, per_facet
-        )
-        total += v
-        total_err += e
-        evals += used
-    achieved = total_err / max(abs(total), 1e-300)
-    return VolumeEstimate(
-        value=max(total, 0.0),
-        std_error=0.0,
-        evaluations=evals,
-        method="quadrature",
-        achieved_rel_tol=achieved,
-    )
+    return _quadrature(poly.vertices, poly.interior_point(), poly.facets, per_facet)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +584,7 @@ def region_volume_mc(
 
 
 # ---------------------------------------------------------------------------
-# exact 2D oracle
+# closed forms: 2D angle defect, 3D orthoschemes
 
 def klein_angle(p, q, r) -> float:
     """Riemannian angle at p between the geodesics toward q and r (n = 2+).
@@ -575,6 +608,35 @@ def klein_angle(p, q, r) -> float:
     return math.acos(min(1.0, max(-1.0, g(u, v) / denom)))
 
 
+def _angle_defects(tri: np.ndarray) -> np.ndarray:
+    """Hyperbolic areas of a (k, 3, 2) batch of triangles: pi - angle sum.
+
+    At a vertex p with chords u, v toward the other two, the metric tensor
+    g = I/s + p p^T/s^2, s = 1 - |p|^2, gives s^2 g(u, v) = s u.v +
+    (p.u)(p.v), and in the plane s^4 (g(u,u) g(v,v) - g(u,v)^2) =
+    s (u x v)^2, so the angle is an arctan2 free of cancellation.  Vertices
+    within BOUNDARY_TOL of the sphere are ideal and contribute angle 0;
+    collinear triangles have area 0.
+    """
+    u = np.roll(tri, -1, axis=1) - tri
+    v = np.roll(tri, 1, axis=1) - tri
+    norm2 = np.einsum("kij,kij->ki", tri, tri)
+    s = 1.0 - norm2
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    cos_part = s * np.einsum("kij,kij->ki", u, v) + (
+        np.einsum("kij,kij->ki", tri, u) * np.einsum("kij,kij->ki", tri, v)
+    )
+    sin_part = np.sqrt(np.maximum(s, 0.0)) * np.abs(cross)
+    finite = norm2 < (1.0 - BOUNDARY_TOL) ** 2
+    angles = np.where(finite, np.arctan2(sin_part, cos_part), 0.0)
+    area = np.maximum(np.pi - angles.sum(axis=1), 0.0)
+    # cross[:, 0] is (b - a) x (c - a) for the triangle (a, b, c)
+    scale = np.maximum(np.linalg.norm(u[:, 0], axis=1),
+                       np.linalg.norm(v[:, 0], axis=1))
+    flat = np.abs(cross[:, 0]) <= 1e-14 * np.maximum(scale * scale, 1e-300)
+    return np.where(flat, 0.0, area)
+
+
 def triangle_area_2d(a, b, c) -> float:
     """Exact hyperbolic area of a 2D triangle: pi minus the angle sum.
 
@@ -587,14 +649,89 @@ def triangle_area_2d(a, b, c) -> float:
     pa, pb, pc_ = coords
     if np.array_equal(pa, pb) or np.array_equal(pb, pc_) or np.array_equal(pa, pc_):
         raise ValueError("triangle vertices must be distinct")
-    cross = (pb[0] - pa[0]) * (pc_[1] - pa[1]) - (pb[1] - pa[1]) * (pc_[0] - pa[0])
-    scale = max(np.linalg.norm(pb - pa), np.linalg.norm(pc_ - pa))
-    if abs(cross) <= 1e-14 * max(scale * scale, 1e-300):
-        return 0.0
-    angle_sum = 0.0
-    for i, (x, y, z) in enumerate(((a, b, c), (b, a, c), (c, a, b))):
-        xc = as_coords(x)
-        if isinstance(x, IdealPoint) or float(xc @ xc) >= (1.0 - BOUNDARY_TOL) ** 2:
-            continue  # ideal vertex: zero angle
-        angle_sum += klein_angle(xc, as_coords(y), as_coords(z))
-    return max(math.pi - angle_sum, 0.0)
+    return float(_angle_defects(np.array(coords)[None])[0])
+
+
+# Clausen series coefficients |B_2k| / (2k (2k+1) (2k)!), written as
+# 2 zeta(2k) / ((2 pi)^2k 2k (2k+1)) to avoid huge factorials, highest
+# first for Horner's rule.  At |theta| <= pi each term is at most a
+# quarter of the one before, so 30 terms reach roundoff.
+_K = np.arange(30, 0, -1)
+_CLAUSEN = 2.0 * special.zeta(2.0 * _K) / (
+    (2.0 * np.pi) ** (2 * _K) * (2 * _K) * (2 * _K + 1)
+)
+
+
+def lobachevsky(x):
+    """Lobachevsky function L(x) = -integral_0^x log|2 sin t| dt, vectorized.
+
+    L(x) = Cl_2(2x)/2, and the Clausen function is summed from its series
+    Cl_2(theta) = theta - theta log|theta|
+                  + sum_k |B_2k| theta^(2k+1) / (2k (2k+1) (2k)!)
+    after reducing theta to [-pi, pi] by its period 2 pi.
+    """
+    theta = 2.0 * np.asarray(x, dtype=float)
+    theta = theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
+    t2 = theta * theta
+    series = np.zeros_like(theta)
+    for c in _CLAUSEN:
+        series = series * t2 + c
+    mag = np.abs(theta)
+    log = np.log(np.where(mag > 0.0, mag, 1.0))
+    return 0.5 * theta * (1.0 - log + t2 * series)
+
+
+def _orthoscheme_volume(h, a, b):
+    """Volume of the orthoscheme (O, H, E, V) from its Euclidean legs.
+
+    O is the origin, OH (length h) is normal to the plane HEV, and HE
+    (length a) is perpendicular to EV (length b).  The essential angles
+    are alpha1 at edge EV, the hyperbolic angle OEH, whose cosine the
+    metric tensor at E gives as a / sqrt((a^2 + h^2)(1 - h^2)); alpha2 at
+    edge OV and alpha3 at edge OH, Euclidean because those edges pass
+    through the origin.  With them tan(delta) reduces to h b / a, and
+    Kellerhals' formula gives the volume.  Written with arctan2, the
+    result is odd in each of h, a and b, which signs the orthoschemes of
+    a decomposition.
+    """
+    alpha1 = np.arctan2(h * np.sqrt(np.maximum(1.0 - a * a - h * h, 0.0)), a)
+    alpha2 = np.arctan2(a * np.sqrt(h * h + a * a + b * b), h * b)
+    alpha3 = np.arctan2(b, a)
+    delta = np.arctan2(h * b, a)
+    beta = 0.5 * np.pi - alpha2
+    lob = lobachevsky(np.stack([
+        alpha1 + delta, alpha1 - delta, alpha3 + delta, alpha3 - delta,
+        beta + delta, beta - delta, 0.5 * np.pi - delta,
+    ]))
+    return 0.25 * (lob[0] - lob[1] + lob[2] - lob[3] - lob[4] + lob[5]
+                   + 2.0 * lob[6])
+
+
+def _orthoscheme_sum(tri: np.ndarray) -> float:
+    """Volume of the cones from the origin over a (f, 3, 3) batch of facets.
+
+    Let H be the foot of the origin O on a facet plane and E the foot of H
+    on the line of an edge PQ.  OH is the hyperbolic perpendicular too,
+    because O is the center, and so is HE within the plane, whose section
+    of the ball is a Klein disc centered at H.  The cone over the triangle
+    HPQ is then orth(O, H, E, Q) - orth(O, H, E, P), with legs signed by
+    the side of PQ that H lies on and the side of E that each end lies
+    on; the three edges of a facet sum to its cone.  The leg HE is signed
+    against the facet's own normal and OH is taken positive, so the sum
+    does not depend on the order of a facet's vertices.
+    """
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    offset = np.einsum("fi,fi->f", normal, tri[:, 0])
+    foot = offset[:, None] * normal
+    p = tri
+    q = np.roll(tri, -1, axis=1)
+    d = q - p
+    d /= np.linalg.norm(d, axis=2, keepdims=True)
+    t = np.einsum("fki,fki->fk", foot[:, None, :] - p, d)  # E = P + t d
+    e = p + t[..., None] * d
+    a = np.einsum("fi,fki->fk", normal, np.cross(e - foot[:, None, :], d))
+    b_q = np.einsum("fki,fki->fk", q - e, d)
+    h = np.broadcast_to(np.abs(offset)[:, None], a.shape)
+    return float(np.sum(_orthoscheme_volume(h, a, b_q)
+                        - _orthoscheme_volume(h, a, -t)))

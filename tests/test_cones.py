@@ -165,6 +165,23 @@ def test_charts_agree_ideal_and_truncated():
         section_integral(ideal_section(2, 0.1), 2, chart="spherical")
 
 
+def test_uv_chart_on_narrow_near_ideal_section():
+    # two hull vertices 0.002 rad apart at radius 1 - 1e-6: a section
+    # narrower than 1e-3 rad, where one quad call over the whole u-range
+    # once came out 10x low
+    far = np.array([0.9999984153626227, 0.0010414586890180385])
+    sec = ConeSection(apex=IdealPoint([1.0, 0.0]), direction=[0.0, 1.0],
+                      far_point=far, origin_angle=math.atan2(far[1], far[0]),
+                      apex_radius=1.0 - 1e-6)
+    for n in (2, 3):
+        vp, _ = section_integral(sec, n, chart="polar")
+        vu, _ = section_integral(sec, n, chart="uv")
+        assert vu == pytest.approx(vp, rel=1e-8)
+    area = triangle_area_2d(np.zeros(2), sec.apex_radius * sec.apex.direction,
+                            far)
+    assert section_integral(sec, 2, chart="uv")[0] == pytest.approx(area, rel=1e-8)
+
+
 def test_truncation_only_reduces_the_integral():
     for n in (2, 3):
         full, _ = section_integral(ideal_section(n, 0.05), n)

@@ -139,6 +139,26 @@ def test_theorem2_check_small_run():
     assert summary["cluster_median_n2"] >= 1.0
 
 
+def test_theorem2_check_passes_its_budget(monkeypatch):
+    import hypervol.experiments as experiments
+    from hypervol import VolumeEstimate
+
+    seen = []
+
+    def fake_ratio(points, epsilon, **kw):
+        seen.append(kw["budget"])
+        est = VolumeEstimate(2.0, 0.0, 1, "quadrature")
+        return {"hull": est, "union": est, "ratio": 1.0,
+                "low_confidence": False}
+
+    monkeypatch.setattr(experiments, "theorem2_ratio", fake_ratio)
+    cfg = RunConfig(command="theorem2-check", dims=(2,), instances=1,
+                    d_values=(3.0,), budget=123_456)
+    header, rows, _, _ = cmd_theorem2_check(cfg)
+    assert seen and set(seen) == {123_456}
+    assert {row[header.index("budget")] for row in rows} == {123_456}
+
+
 def test_cone_table_small_run():
     cfg = RunConfig(command="cone-table", cone_dims=(2, 3, 4),
                     phis=(0.01, 0.05), seed=0)
@@ -157,16 +177,17 @@ def test_cone_table_rejects_phi_at_cap():
 
 
 def test_extremal_search_small_run():
-    cfg = RunConfig(command="extremal-search", n=2, sizes=(6,), steps=15,
-                    budget=40_000, seed=4)
-    header, rows, failures, summary = cmd_extremal_search(cfg)
-    assert failures == []
-    assert len(rows) == 16  # step 0 plus config.steps
-    best_i = header.index("best")
-    bests = [row[best_i] for row in rows]
-    assert bests == sorted(bests)
-    assert summary["best"] >= summary["baseline_sum"] * (1 - 1e-9)
-    assert len(summary["best_points"]) == 6
+    for n, size in ((2, 6), (3, 8)):
+        cfg = RunConfig(command="extremal-search", n=n, sizes=(size,),
+                        steps=15, budget=40_000, seed=4)
+        header, rows, failures, summary = cmd_extremal_search(cfg)
+        assert failures == []
+        assert len(rows) == 16  # step 0 plus config.steps
+        best_i = header.index("best")
+        bests = [row[best_i] for row in rows]
+        assert bests == sorted(bests)
+        assert summary["best"] >= summary["baseline_sum"] * (1 - 1e-9)
+        assert len(summary["best_points"]) == size
 
 
 def test_mass_near_vertices_monotone():
@@ -241,18 +262,19 @@ def test_cli_seed_override_changes_rows(tmp_path):
 def test_cli_hull_volume_json(tmp_path, capsys):
     from hypervol import pointcloud
 
-    pts = generate_points("uniform-ball", 2, 12, seed=6)
-    pts_path = tmp_path / "cloud.csv"
-    pointcloud.save_points(str(pts_path), pts, model="klein")
-    cfg_path = tmp_path / "hv.json"
-    cfg_path.write_text(json.dumps({"points_path": str(pts_path)}),
-                        encoding="utf-8")
-    out_path = tmp_path / "hv.out.json"
-    code = cli.main(["hull-volume", "--config", str(cfg_path),
-                     "--out", str(out_path)])
-    assert code == 0
-    saved = json.loads(out_path.read_text(encoding="utf-8"))
-    assert saved["n"] == 2
-    assert saved["num_points"] == 12
-    assert saved["volume"] > 0
-    assert saved["method"] == "exact_2d"
+    for n, method in ((2, "exact_2d"), (3, "exact_3d")):
+        pts = generate_points("uniform-ball", n, 12, seed=6)
+        pts_path = tmp_path / f"cloud{n}.csv"
+        pointcloud.save_points(str(pts_path), pts, model="klein")
+        cfg_path = tmp_path / f"hv{n}.json"
+        cfg_path.write_text(json.dumps({"points_path": str(pts_path)}),
+                            encoding="utf-8")
+        out_path = tmp_path / f"hv{n}.out.json"
+        code = cli.main(["hull-volume", "--config", str(cfg_path),
+                         "--out", str(out_path)])
+        assert code == 0
+        saved = json.loads(out_path.read_text(encoding="utf-8"))
+        assert saved["n"] == n
+        assert saved["num_points"] == 12
+        assert saved["volume"] > 0
+        assert saved["method"] == method

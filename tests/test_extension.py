@@ -19,6 +19,7 @@ from hypervol import (
     extension_volume,
     greedy_packing,
     hull_of_extension,
+    polytope_volume,
     sandwich_check,
     theorem2_ratio,
     triangle_area_2d,
@@ -197,3 +198,17 @@ def test_origin_centered_ball_hull_area_identity():
         a, b = poly.vertices[list(f)]
         total += triangle_area_2d(c, a, b)
     assert total == pytest.approx(ball_volume(2, eps), rel=1e-3)
+
+
+def test_theorem2_ratio_hull_budget_is_its_own():
+    # 4D hulls take the quadrature route; its budget is `budget`, not the
+    # Monte Carlo sample count
+    pts = np.array([[-0.3, 0.0, 0.0, 0.0], [0.3, 0.0, 0.0, 0.0]])
+    poly = hull_of_extension(pts, 0.5, boundary_samples=8, seed=3)
+    want = polytope_volume(poly, "quadrature", budget=200_000)
+    by_samples = polytope_volume(poly, "quadrature", budget=5_000)
+    assert want.evaluations != by_samples.evaluations
+    for samples in (5_000, 8_000):
+        out = theorem2_ratio(pts, 0.5, samples=samples, boundary_samples=8,
+                             seed=3, budget=200_000)
+        assert out["hull"] == want

@@ -1,29 +1,39 @@
 """Volume estimators cross-checked against each other and closed forms.
 
-Three independent routes exist (angle defect in 2D, facet-cone quadrature,
-Monte Carlo) plus the ball closed form; every test here plays at least
-two of them against each other.
+Three independent routes exist (closed forms in 2D and 3D, facet-cone
+quadrature, Monte Carlo) plus the ball closed form; every test here plays
+at least two of them against each other.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from hypervol import (
+    BOUNDARY_TOL,
+    IdealPoint,
     Region,
     Simplex,
     VolumeEstimate,
     ball_volume,
     convex_hull,
+    generate_points,
     klein_angle,
     polytope_volume,
+    random_isometry,
     region_volume_mc,
     simplex_volume,
     triangle_area_2d,
 )
+from hypervol.hull import apex_triangulation
+from hypervol.volume import lobachevsky, preferred_method
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
+TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
+OCT = np.vstack([np.eye(3), -np.eye(3)])
 
 
 def test_tiny_simplex_is_euclidean():
@@ -193,3 +203,124 @@ def test_degenerate_polytope_volume_zero():
                     np.array([0.0]), 0.0)
     est = polytope_volume(poly)
     assert est.value == 0.0
+
+
+def test_quadrature_flags_missed_tolerance():
+    # near-ideal hull at the sweep budget: ends near 2e-2, far from 1e-4
+    pts = generate_points("uniform-ideal", 3, 64, seed=64)
+    est = polytope_volume(convex_hull(pts), budget=400_000)
+    assert est.achieved_rel_tol > 1e-3
+    assert est.low_confidence
+    est = simplex_volume(Simplex((1.0 - 1e-6) * TET), budget=4_000)
+    assert est.achieved_rel_tol > 1e-4
+    assert est.low_confidence
+    # a converged triangle meets the tolerance and is not flagged
+    for est in (simplex_volume(Simplex(TRI), budget=60_000),
+                polytope_volume(convex_hull(TRI), budget=60_000)):
+        assert est.achieved_rel_tol <= 1e-4
+        assert not est.low_confidence
+
+
+def _lobachevsky_spence(x):
+    """Independent oracle: L(x) = Im Li2(e^{2ix}) / 2, Li2(w) = spence(1 - w)."""
+    return 0.5 * special.spence(1.0 - np.exp(2j * np.asarray(x))).imag
+
+
+def test_lobachevsky_series_matches_spence():
+    xs = np.concatenate([np.linspace(-7.0, 7.0, 4001),
+                         [0.0, 1e-12, math.pi / 6, math.pi / 4, math.pi / 3,
+                          math.pi / 2, math.pi, -math.pi / 2 + 1e-9]])
+    assert np.max(np.abs(lobachevsky(xs) - _lobachevsky_spence(xs))) < 1e-13
+    assert lobachevsky(0.0) == 0.0
+
+
+def test_ideal_solids_tend_to_their_closed_forms():
+    # regular ideal tetrahedron 3 L(pi/3) and octahedron 8 L(pi/4); the
+    # truncated solids sit below them and close the gap as the radius -> 1
+    for verts, closed in ((TET, 3.0 * _lobachevsky_spence(math.pi / 3)),
+                          (OCT, 8.0 * _lobachevsky_spence(math.pi / 4))):
+        gaps = []
+        for cut in (1e-6, 1e-9):
+            est = polytope_volume(convex_hull((1.0 - cut) * verts), "exact_3d")
+            assert est.method == "exact_3d"
+            gaps.append((closed - est.value) / closed)
+        assert 0.0 < gaps[1] < 1e-7
+        assert gaps[1] < gaps[0] / 10.0
+    spx = simplex_volume((1.0 - 1e-9) * TET, method="exact_3d")
+    assert spx.value == pytest.approx(1.01494158, abs=5e-9)
+
+
+def test_exact_3d_matches_quadrature():
+    for k, size in enumerate((8, 16, 40)):
+        poly = convex_hull(generate_points("uniform-ball", 3, size, seed=70 + k))
+        exact = polytope_volume(poly, "exact_3d")
+        quad = polytope_volume(poly, budget=4_000_000)
+        assert not quad.low_confidence
+        assert abs(exact.value - quad.value) <= quad.achieved_rel_tol * quad.value
+    rng = np.random.default_rng(31)
+    verts = rng.uniform(-0.6, 0.6, size=(4, 3))
+    exact = simplex_volume(verts, "exact_3d")
+    quad = simplex_volume(verts, budget=4_000_000)
+    assert abs(exact.value - quad.value) <= quad.achieved_rel_tol * quad.value
+
+
+def test_exact_3d_simplex_mc_pulls():
+    # against the exact value, MC pulls must look standard normal
+    rng = np.random.default_rng(57)
+    pulls = []
+    for k in range(40):
+        verts = rng.uniform(-0.55, 0.55, size=(4, 3))
+        exact = simplex_volume(verts, "exact_3d").value
+        mc = simplex_volume(verts, "monte_carlo", budget=200_000, seed=k)
+        pulls.append((mc.value - exact) / mc.std_error)
+    assert abs(np.mean(pulls)) < 0.5
+    assert 0.7 < np.std(pulls) < 1.3
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(size=st.integers(4, 30), seed=st.integers(0, 2**20))
+def test_exact_3d_isometry_invariant(size, seed):
+    pts = generate_points("uniform-ball", 3, size, seed=seed, radius=2.0)
+    moved = random_isometry(3, seed=seed + 1).apply_array(pts)
+    a = polytope_volume(convex_hull(pts), "exact_3d").value
+    b = polytope_volume(convex_hull(moved), "exact_3d").value
+    assert a == pytest.approx(b, rel=1e-9)
+
+
+def _scalar_triangle_area(a, b, c):
+    """The per-vertex angle-defect loop that exact_2d replaced."""
+    angle_sum = 0.0
+    for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
+        xc = np.asarray(x, dtype=float)
+        if float(xc @ xc) >= (1.0 - BOUNDARY_TOL) ** 2:
+            continue
+        angle_sum += klein_angle(xc, y, z)
+    return max(math.pi - angle_sum, 0.0)
+
+
+def test_vectorized_exact_2d_matches_scalar_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        tri = generate_points("uniform-ball", 2, 3, seed=int(rng.integers(1 << 30)),
+                              radius=3.0)
+        assert triangle_area_2d(*tri) == pytest.approx(
+            _scalar_triangle_area(*tri), abs=1e-12)
+    corners = np.array([[1.0, 0.0], [0.0, 1.0], [-0.3, -0.2]])
+    ideal = (IdealPoint(corners[0]), IdealPoint(corners[1]), corners[2])
+    assert triangle_area_2d(*ideal) == pytest.approx(
+        _scalar_triangle_area(*corners), abs=1e-12)
+    for size in (5, 40, 200):
+        poly = convex_hull(generate_points("uniform-ideal", 2, size, seed=size))
+        loop = sum(_scalar_triangle_area(*spx.vertices)
+                   for spx in apex_triangulation(poly, poly.interior_point()))
+        assert polytope_volume(poly, "exact_2d").value == pytest.approx(
+            loop, rel=1e-12)
+
+
+def test_preferred_method_by_dimension():
+    assert [preferred_method(n) for n in (2, 3, 4, 5)] == [
+        "exact_2d", "exact_3d", "quadrature", "quadrature"]
+    with pytest.raises(ValueError):
+        polytope_volume(convex_hull(TRI), method="exact_3d")
+    with pytest.raises(ValueError):
+        simplex_volume(TRI, method="exact_3d")
