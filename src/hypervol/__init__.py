@@ -14,8 +14,11 @@ from .klein import (
     IdealPoint,
     Isometry,
     KleinPoint,
+    ball_boundary_array,
     ball_boundary_points,
     ball_volume,
+    boost_to,
+    cosh_dist_matrix,
     density,
     density_array,
     dist,

@@ -20,6 +20,7 @@ from .rng import substream
 from .volume import polytope_volume, preferred_method, simplex_volume
 from .cones import (
     PHI_CAP,
+    _tangent_basis,
     cone_integral_bound,
     first_summand_closed,
     first_summand_quad,
@@ -519,7 +520,7 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
         tangent_spread = regular_simplex_directions(n - 1)[:n]
         for j in range(groups):
             c = caps[j]
-            basis = _orthobasis(c)
+            basis = _tangent_basis(c)
             group = [c]
             for t in tangent_spread:
                 d = math.cos(beta) * c + math.sin(beta) * (t @ basis)
@@ -537,12 +538,6 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         flat = np.vstack([flat, IDEAL_TRUNCATION * g])
     return flat, total
-
-
-def _orthobasis(c: np.ndarray) -> np.ndarray:
-    m = np.column_stack([c, np.eye(c.size)])
-    q, _ = np.linalg.qr(m)
-    return q[:, 1 : c.size].T
 
 
 def cmd_extremal_search(config: RunConfig):

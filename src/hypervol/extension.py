@@ -14,9 +14,10 @@ import math
 import numpy as np
 
 from .klein import (
-    KleinPoint,
+    ball_boundary_array,
     ball_volume,
-    ball_boundary_points,
+    boost_to,
+    cosh_dist_matrix,
     dist_matrix,
 )
 from .hull import Polytope, convex_hull
@@ -82,8 +83,10 @@ class UnionOfBalls:
         self.radius = float(radius)
 
     def membership(self, points: np.ndarray) -> np.ndarray:
-        d = dist_matrix(np.atleast_2d(points), self.centers)
-        return d.min(axis=1) <= self.radius
+        # dist <= r  <=>  cosh(dist) <= cosh(r), and the nearest center has
+        # the smallest cosh: one comparison per row, no arccosh per entry
+        arg = cosh_dist_matrix(np.atleast_2d(points), self.centers)
+        return arg.min(axis=1) <= math.cosh(self.radius)
 
     def region(self) -> Region:
         # each ball of hyperbolic radius r around c stays inside the
@@ -150,13 +153,7 @@ def sandwich_check(
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     w = 2.5 * eps * rng.random(m)
     # move distance w from each base point along g with a boost
-    from .klein import translation_to
-
-    probes_pts = np.empty_like(base)
-    local = np.tanh(w)[:, None] * g
-    for i in range(m):
-        iso = translation_to(KleinPoint(base[i]))
-        probes_pts[i] = iso.apply_array(local[i][None, :])[0]
+    probes_pts = boost_to(base, np.tanh(w)[:, None] * g)
     in_inner = inner.membership(probes_pts)
     in_ext = ext.membership(probes_pts)
     in_outer = outer.membership(probes_pts)
@@ -209,13 +206,8 @@ def hull_of_extension(
     volume a lower bound.  Larger boundary_samples only refine it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    cloud = [pts]
-    for i in range(pts.shape[0]):
-        ring = ball_boundary_points(
-            KleinPoint(pts[i]), epsilon, boundary_samples, seed=seed
-        )
-        cloud.append(np.array([q.coords for q in ring]))
-    return convex_hull(np.vstack(cloud))
+    rings = ball_boundary_array(pts, epsilon, boundary_samples, seed=seed)
+    return convex_hull(np.vstack([pts, rings.reshape(-1, pts.shape[1])]))
 
 
 def theorem2_ratio(

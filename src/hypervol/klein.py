@@ -34,11 +34,14 @@ __all__ = [
     "density",
     "dist",
     "dist_matrix",
+    "cosh_dist_matrix",
     "translate_to_origin",
     "translation_to",
+    "boost_to",
     "random_isometry",
     "ball_volume",
     "ball_boundary_points",
+    "ball_boundary_array",
     "unit_sphere_area",
     "sinh_power_integral",
     "radial_density_integral",
@@ -58,16 +61,7 @@ class KleinPoint:
 
     def __init__(self, coords):
         c = np.asarray(coords, dtype=float).reshape(-1)
-        if c.size < 2:
-            raise ValueError("dimension must be at least 2")
-        if c.size > _MAX_DIM:
-            raise ValueError("dimension too large")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coordinates must be finite")
-        if float(np.linalg.norm(c)) >= 1.0 - BOUNDARY_TOL:
-            raise ValueError(
-                "point too close to the boundary sphere (norm >= 1 - 1e-12)"
-            )
+        _check_points(c)
         self.coords = c
         self.coords.setflags(write=False)
 
@@ -89,6 +83,22 @@ class KleinPoint:
 
     def __hash__(self):
         return hash(self.coords.tobytes())
+
+
+def _check_points(c: np.ndarray) -> None:
+    """Reject rows (last axis) that are not finite interior Klein points."""
+    if c.shape[-1] < 2:
+        raise ValueError("dimension must be at least 2")
+    if c.shape[-1] > _MAX_DIM:
+        raise ValueError("dimension too large")
+    if not np.isfinite(c).all():
+        raise ValueError("coordinates must be finite")
+    # a single point takes the plain norm, as KleinPoint always has
+    norm = np.linalg.norm(c) if c.ndim == 1 else np.linalg.norm(c, axis=-1)
+    if (norm >= 1.0 - BOUNDARY_TOL).any():
+        raise ValueError(
+            "point too close to the boundary sphere (norm >= 1 - 1e-12)"
+        )
 
 
 class IdealPoint:
@@ -158,15 +168,24 @@ def dist(p, q) -> float:
     return math.acosh(max(arg, 1.0))
 
 
-def dist_matrix(P, Q) -> np.ndarray:
-    """Pairwise hyperbolic distances between rows of P (m, n) and Q (k, n)."""
+def cosh_dist_matrix(P, Q) -> np.ndarray:
+    """Pairwise cosh of the distance between rows of P (m, n) and Q (k, n).
+
+    Entries may round to just below 1 for coincident points.  Since cosh
+    is increasing on [0, inf), a distance threshold r is the threshold
+    cosh(r) on this matrix, with no arccosh per entry.
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     p2 = 1.0 - np.sum(P * P, axis=1)
     q2 = 1.0 - np.sum(Q * Q, axis=1)
     num = 1.0 - P @ Q.T
-    arg = num / np.sqrt(np.outer(p2, q2))
-    return np.arccosh(np.maximum(arg, 1.0))
+    return num / np.sqrt(np.outer(p2, q2))
+
+
+def dist_matrix(P, Q) -> np.ndarray:
+    """Pairwise hyperbolic distances between rows of P (m, n) and Q (k, n)."""
+    return np.arccosh(np.maximum(cosh_dist_matrix(P, Q), 1.0))
 
 
 def _lift(pts: np.ndarray) -> np.ndarray:
@@ -243,6 +262,32 @@ def translation_to(p) -> Isometry:
     if s2 > 0.0:
         m[1:, 1:] += (x0 - 1.0) * np.outer(xs, xs) / s2
     return Isometry(m)
+
+
+def boost_to(centers, offsets) -> np.ndarray:
+    """Move local offsets by the translations taking the origin to centers.
+
+    Row for row, this is translation_to(c).apply_array(x) in closed form
+    (Einstein addition in the Klein model): with s = sqrt(1 - |c|^2),
+
+        c (+) x = (s x + (1 + (c.x) / (1 + s)) c) / (1 + c.x),
+
+    which is the identity at c = 0 and needs no hyperboloid lift.  The
+    leading axes of centers (..., n) and offsets (..., n) broadcast, so one
+    center can serve all rows, or each row can have its own.  Centers are
+    validated as KleinPoint validates a point; offsets must lie in the open
+    unit ball.
+    """
+    c = np.atleast_1d(np.asarray(centers, dtype=float))
+    x = np.atleast_1d(np.asarray(offsets, dtype=float))
+    _check_points(c)
+    if c.shape[-1] != x.shape[-1]:
+        raise ValueError("dimension mismatch")
+    if not np.all(np.sum(x * x, axis=-1) < 1.0):
+        raise ValueError("offsets must lie in the open unit ball")
+    s = np.sqrt(1.0 - np.sum(c * c, axis=-1, keepdims=True))
+    cx = np.sum(c * x, axis=-1, keepdims=True)
+    return (s * x + (1.0 + cx / (1.0 + s)) * c) / (1.0 + cx)
 
 
 def translate_to_origin(p) -> Isometry:
@@ -350,24 +395,34 @@ def ball_volume(n: int, r: float) -> float:
     return unit_sphere_area(n - 1) * val
 
 
-def ball_boundary_points(center, r: float, count: int, seed: int) -> list[KleinPoint]:
-    """`count` seeded points at hyperbolic distance r from `center`.
+def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:
+    """`count` seeded points at hyperbolic distance r from each center.
 
-    Directions are drawn uniformly; the sphere around the origin is mapped
-    onto the target sphere by the translation taking 0 to `center`, which
-    preserves the distance exactly.  For a fixed seed the first k points
-    of a longer draw coincide with a shorter draw (prefix stability).
+    Centers (..., n) give an array (..., count, n).  The directions are
+    drawn once, uniformly, and shared by every center; the sphere of
+    radius r around the origin is moved onto each target sphere by
+    `boost_to`, which preserves the distance.  For a fixed seed the first
+    k points of a longer draw coincide with a shorter draw (prefix
+    stability).  Points that round onto the boundary sphere are rejected
+    as KleinPoint rejects them.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    c = as_coords(center)
-    _check_inside(c)
-    n = c.size
+    c = np.asarray(centers, dtype=float)
     rng = substream(seed, 0)
-    dirs = rng.standard_normal((count, n))
+    dirs = rng.standard_normal((count, c.shape[-1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    at_origin = math.tanh(r) * dirs
-    moved = translation_to(c).apply_array(at_origin)
-    return [KleinPoint(row) for row in moved]
+    moved = boost_to(c[..., None, :], math.tanh(r) * dirs)
+    _check_points(moved)
+    return moved
+
+
+def ball_boundary_points(center, r: float, count: int, seed: int) -> list[KleinPoint]:
+    """`count` seeded points at hyperbolic distance r from `center`.
+
+    The single-center form of `ball_boundary_array`, as KleinPoints.
+    """
+    ring = ball_boundary_array(as_coords(center), r, count, seed)
+    return [KleinPoint(row) for row in ring]

@@ -460,4 +460,6 @@ def test_cone_report_structure():
     for phi, fl in zip(rep["origin_angles"], rep["flagged"]):
         assert fl == (phi >= PHI_CAP)
     assert set(rep["volume"]) == {"value", "std_error", "evaluations",
-                                  "method"}
+                                  "method", "low_confidence",
+                                  "achieved_rel_tol"}
+    assert isinstance(rep["volume"]["low_confidence"], bool)

@@ -13,10 +13,13 @@ from hypervol import (
     PackingResult,
     UnionOfBalls,
     ball_volume,
+    convex_hull,
     covering_centers,
     dist,
+    dist_matrix,
     euclidean_capsule_ratio,
     extension_volume,
+    generate_points,
     greedy_packing,
     hull_of_extension,
     polytope_volume,
@@ -26,7 +29,8 @@ from hypervol import (
     two_ball_hull_area,
     two_ball_ratio,
 )
-from hypervol.klein import KleinPoint
+from hypervol.klein import KleinPoint, translation_to
+from hypervol.rng import substream
 
 
 def chain_points(n: int, count: int, step: float) -> np.ndarray:
@@ -88,6 +92,19 @@ def test_union_of_balls_membership():
         UnionOfBalls(centers, -0.1)
 
 
+def test_union_membership_matches_distance_rule():
+    # the cosh comparison must accept exactly the probes within the radius
+    for n in (2, 3, 5):
+        centers = generate_points("uniform-ball", n, 12, seed=n, radius=1.0)
+        probes = generate_points("uniform-ball", n, 20_000, seed=10 + n,
+                                 radius=2.0)
+        for radius in (0.3, 0.8, 1.5):
+            rule = dist_matrix(probes, centers).min(axis=1) <= radius
+            assert rule.any() and not rule.all()
+            mask = UnionOfBalls(centers, radius).membership(probes)
+            assert np.array_equal(mask, rule)
+
+
 def test_sandwich_check_clean_packing():
     rng = np.random.default_rng(19)
     pts = 0.45 * rng.uniform(-1, 1, size=(30, 2))
@@ -129,6 +146,24 @@ def test_hull_of_extension_contains_ball_tangency_points():
     # hull is an inner approximation: no vertex leaves A_eps
     union = UnionOfBalls(pts, eps)
     assert union.membership(poly.vertices * (1 - 1e-12)).all()
+
+
+def test_hull_of_extension_matches_per_point_rings():
+    # the construction the batched rings replaced: one seeded draw of
+    # directions, then one boost per center
+    pts = generate_points("clustered", 3, 12, seed=4)
+    eps, count, seed = 0.8, 64, 2
+    rng = substream(seed, 0)
+    dirs = rng.standard_normal((count, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rings = [translation_to(p).apply_array(math.tanh(eps) * dirs) for p in pts]
+    ref = convex_hull(np.vstack([pts] + rings))
+    poly = hull_of_extension(pts, eps, boundary_samples=count, seed=seed)
+    assert poly.vertices.shape == ref.vertices.shape
+    np.testing.assert_allclose(poly.vertices, ref.vertices, rtol=0, atol=1e-12)
+    a = polytope_volume(poly, "exact_3d").value
+    b = polytope_volume(ref, "exact_3d").value
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_two_ball_closed_forms_frozen():

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
 import hypervol as hv
-from hypervol.klein import KleinPoint, IdealPoint, as_coords, translation_to
+from hypervol.klein import (
+    KleinPoint,
+    IdealPoint,
+    as_coords,
+    boost_to,
+    translation_to,
+)
 
 
 def line_element_distance(p, q, epsrel=1e-10):
@@ -85,6 +92,64 @@ def test_translation_moves_origin():
         img = iso.apply_array(np.zeros((1, n)))[0]
         assert_allclose(img, target, atol=1e-14)
         assert iso.minkowski_defect() < 1e-12
+
+
+def _ball_rows(rng, rows, n, low, high):
+    """Rows with Euclidean norms uniform in [low, high], directions uniform."""
+    g = rng.standard_normal((rows, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g * rng.uniform(low, high, rows)[:, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), rows=st.integers(1, 12),
+       per_row=st.booleans(), seed=st.integers(0, 2**20))
+def test_boost_to_matches_translation_and_keeps_distance(n, rows, per_row, seed):
+    rng = np.random.default_rng(seed)
+    centers = _ball_rows(rng, rows if per_row else 1, n, 0.0, 0.95)
+    local = _ball_rows(rng, rows, n, 0.05, 0.95)
+    out = boost_to(centers if per_row else centers[0], local)
+    assert out.shape == (rows, n)
+    for i in range(rows):
+        c = centers[i if per_row else 0]
+        ref = translation_to(c).apply_array(local[i][None, :])[0]
+        assert_allclose(out[i], ref, rtol=0, atol=1e-12)
+        assert_allclose(hv.dist(c, out[i]), math.atanh(np.linalg.norm(local[i])),
+                        rtol=0, atol=1e-10)
+
+
+def test_boost_to_identity_and_broadcast():
+    rng = np.random.default_rng(3)
+    local = _ball_rows(rng, 7, 3, 0.0, 0.9)
+    assert np.array_equal(boost_to(np.zeros(3), local), local)
+    centers = _ball_rows(rng, 4, 3, 0.0, 0.9)
+    grid = boost_to(centers[:, None, :], local[None, :, :])
+    assert grid.shape == (4, 7, 3)
+    for k in range(4):
+        assert np.array_equal(grid[k], boost_to(centers[k], local))
+
+
+def test_boost_to_rejects_bad_centers_like_kleinpoint():
+    bad = [
+        [np.nan, 0.0],
+        [np.inf, 0.0],
+        [0.5],
+        np.full(17, 0.01),
+        [1.0 - 1e-13, 0.0],
+        [0.6, 0.8],
+    ]
+    for c in bad:
+        c = np.asarray(c, dtype=float)
+        with pytest.raises(ValueError):
+            KleinPoint(c)
+        with pytest.raises(ValueError):
+            boost_to(c, np.zeros(c.size))
+        with pytest.raises(ValueError):
+            boost_to(np.vstack([np.zeros(c.size), c]), np.zeros((2, c.size)))
+    with pytest.raises(ValueError):
+        boost_to([0.1, 0.2], [1.0, 0.0])          # offset on the sphere
+    with pytest.raises(ValueError):
+        boost_to([0.1, 0.2], [0.1, 0.2, 0.3])     # dimension mismatch
 
 
 def test_isometry_preserves_distances():
@@ -170,6 +235,9 @@ def test_ball_boundary_points():
     ring = hv.ball_boundary_points(KleinPoint([0.0, 0.0]), 1.3, 8, seed=1)
     for p in ring:
         assert_allclose(np.linalg.norm(p.coords), math.tanh(1.3), atol=1e-14)
+    # a sphere that rounds onto the boundary is refused, not returned
+    with pytest.raises(ValueError):
+        hv.ball_boundary_points(center, 40.0, 4, seed=0)
 
 
 def test_as_coords_accepts_wrappers():

@@ -5,6 +5,7 @@ quadrature, Monte Carlo) plus the ball closed form; every test here plays
 at least two of them against each other.
 """
 
+import json
 import math
 
 import numpy as np
@@ -177,9 +178,18 @@ def test_volume_estimate_validation_and_json():
     est = VolumeEstimate(1.5, 0.01, 1000, "monte_carlo")
     d = est.to_json_dict()
     assert d == {"value": 1.5, "std_error": 0.01, "evaluations": 1000,
-                 "method": "monte_carlo"}
+                 "method": "monte_carlo", "low_confidence": False,
+                 "achieved_rel_tol": None}
     assert est.dumps() == VolumeEstimate(1.5, 0.01, 1000,
                                          "monte_carlo").dumps()
+    # numpy scalars from the estimators serialize as JSON-native values
+    quad = VolumeEstimate(2.0, 0.0, 10, "quadrature",
+                          low_confidence=np.bool_(True),
+                          achieved_rel_tol=np.float64(3e-3))
+    d = json.loads(quad.dumps())
+    assert d["low_confidence"] is True
+    assert d["achieved_rel_tol"] == 3e-3
+    assert type(quad.to_json_dict()["achieved_rel_tol"]) is float
     with pytest.raises(ValueError):
         VolumeEstimate(-1.0, 0.0, 1, "quadrature")
     with pytest.raises(ValueError):
@@ -275,6 +285,25 @@ def test_exact_3d_simplex_mc_pulls():
         pulls.append((mc.value - exact) / mc.std_error)
     assert abs(np.mean(pulls)) < 0.5
     assert 0.7 < np.std(pulls) < 1.3
+
+
+def test_exact_3d_rounding_bound_covers_tiny_bodies():
+    # the Lobachevsky terms cancel down to the volume, so the stated
+    # tolerance grows as the body shrinks and must cover the real error
+    corner = np.vstack([np.zeros(3), np.eye(3)])
+    for scale in (1e-3, 1e-2):
+        exact = simplex_volume(scale * corner, "exact_3d")
+        quad = simplex_volume(scale * corner, budget=4_000_000)
+        gap = abs(exact.value - quad.value) / quad.value
+        assert gap <= exact.achieved_rel_tol
+        assert not exact.low_confidence
+    tiny = simplex_volume(1e-4 * corner, "exact_3d")
+    assert tiny.achieved_rel_tol > 1e-4
+    assert tiny.low_confidence
+    big = polytope_volume(convex_hull(generate_points("uniform-ideal", 3, 64,
+                                                      seed=64)), "exact_3d")
+    assert big.achieved_rel_tol < 1e-12
+    assert not big.low_confidence
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
