@@ -39,13 +39,12 @@ from .klein import (
     IdealPoint,
     KleinPoint,
     as_coords,
-    density_array,
     sinh_power_integral,
     unit_sphere_area,
 )
 from .hull import Polytope, Simplex, convex_hull
-from .rng import substream
-from .volume import VolumeEstimate
+from .rng import _chunk_sums
+from .volume import VolumeEstimate, _dirichlet_draw
 
 __all__ = [
     "PHI_CAP",
@@ -644,20 +643,10 @@ def verify_facet_decomposition(
     dirs = [facet[i] / np.linalg.norm(facet[i]) for i in range(n)]
     radii = [float(np.linalg.norm(facet[i])) for i in range(n)]
 
-    sum_w = 0.0
-    sum_w_parts = np.zeros(n)
-    sum_t = 0.0
-    sum_t2 = 0.0
-    drawn = 0
-    chunk_id = 0
     two_n = float(2 ** n)
-    while drawn < budget:
-        m = min(16384, budget - drawn)
-        rng = substream(seed, chunk_id)
-        e = rng.exponential(size=(m, n + 1))
-        bary = e / e.sum(axis=1, keepdims=True)
-        pts = bary @ verts
-        w = density_array(pts)
+
+    def stats(rng, m):
+        pts, w = _dirichlet_draw(rng, verts, m)
         indic = np.zeros((m, n), dtype=bool)
         for i in range(n):
             u = dirs[i]
@@ -679,13 +668,13 @@ def verify_facet_decomposition(
             inside = np.where(on_axis, (a >= -1e-12) & (a <= radii[i] + 1e-12), inside)
             indic[:, i] = inside
         t_stat = w * (two_n * indic.sum(axis=1) - 1.0)
-        sum_w += float(w.sum())
-        sum_w_parts += (w[:, None] * indic).sum(axis=0)
-        sum_t += float(t_stat.sum())
-        sum_t2 += float((t_stat * t_stat).sum())
-        drawn += m
-        chunk_id += 1
+        return np.concatenate([
+            [w.sum(), t_stat.sum(), (t_stat * t_stat).sum()],
+            (w[:, None] * indic).sum(axis=0),
+        ])
 
+    sum_w, sum_t, sum_t2, *sum_w_parts = _chunk_sums(seed, budget, 16384,
+                                                     stats).tolist()
     mean_w = sum_w / budget
     vol_d = VolumeEstimate(vol_e * mean_w, 0.0, budget, "monte_carlo")
     parts = [

@@ -14,10 +14,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .klein import KleinPoint, density_array, dist_matrix, translation_to
+from .klein import KleinPoint, _radial_table, dist_matrix, translation_to
 from .hull import DegenerateHullError, convex_hull
-from .rng import substream
-from .volume import polytope_volume, preferred_method, simplex_volume
+from .rng import _chunk_sums, substream
+from .volume import (MC_CHUNK, _dirichlet_draw, polytope_volume,
+                     preferred_method, simplex_volume)
 from .cones import (
     PHI_CAP,
     _tangent_basis,
@@ -137,13 +138,10 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 def _uniform_ball(rng, n: int, count: int, radius: float) -> np.ndarray:
     """Uniform in hyperbolic measure on B_H(0, radius).
 
-    Radial inverse-CDF on a 4097-node table of the sinh^(n-1) cumulative;
-    the table is part of the family definition.
+    Radial inverse-CDF by linear interpolation in `klein._radial_table`;
+    the table and the interpolation are part of the family definition.
     """
-    from .klein import sinh_power_integral
-
-    xs = np.linspace(0.0, radius, 4097)
-    cdf = np.asarray(sinh_power_integral(n - 1, xs), dtype=float)
+    xs, cdf = _radial_table(n, radius)
     u = rng.uniform(size=count) * cdf[-1]
     w = np.interp(u, cdf, xs)
     g = rng.standard_normal((count, n))
@@ -630,26 +628,19 @@ def cmd_mass_near_vertices(config: RunConfig):
             seed_r = _derive_seed(config.seed, n, int(round(r * 1000)))
             verts = regular_simplex(n, r)
             samples = config.mc_samples
-            sum_w = 0.0
-            sum_w_near = {c: 0.0 for c in config.c_values}
-            drawn = 0
-            chunk = 0
-            while drawn < samples:
-                m = min(65536, samples - drawn)
-                rng = substream(seed_r, chunk)
-                e = rng.exponential(size=(m, n + 1))
-                bary = e / e.sum(axis=1, keepdims=True)
-                pts = bary @ verts
-                w = density_array(pts)
+
+            def stats(rng, m):
+                pts, w = _dirichlet_draw(rng, verts, m)
                 dmin = dist_matrix(pts, verts).min(axis=1)
-                sum_w += float(w.sum())
-                for c in config.c_values:
-                    sum_w_near[c] += float(w[dmin <= c * r].sum())
-                drawn += m
-                chunk += 1
+                return np.array(
+                    [w.sum()] + [w[dmin <= c * r].sum() for c in config.c_values]
+                )
+
+            sum_w, *sum_w_near = _chunk_sums(seed_r, samples, MC_CHUNK,
+                                             stats).tolist()
             low = sum_w <= 0.0
-            for c in config.c_values:
-                frac = sum_w_near[c] / sum_w if sum_w > 0 else 0.0
+            for c, near in zip(config.c_values, sum_w_near):
+                frac = near / sum_w if sum_w > 0 else 0.0
                 rows.append([
                     n, float(r), float(c), float(c * r), frac, low, seed_r,
                     samples,

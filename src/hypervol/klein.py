@@ -44,7 +44,6 @@ __all__ = [
     "ball_boundary_array",
     "unit_sphere_area",
     "sinh_power_integral",
-    "radial_density_integral",
 ]
 
 # Points with Euclidean norm >= 1 - BOUNDARY_TOL are rejected: the density
@@ -233,11 +232,6 @@ class Isometry:
         X = _lift(pts) @ self.matrix.T
         return X[:, 1:] / X[:, 0:1]
 
-    def apply(self, p) -> KleinPoint:
-        c = as_coords(p)
-        _check_inside(c)
-        return KleinPoint(self.apply_array(c[None, :])[0])
-
     def compose(self, other: "Isometry") -> "Isometry":
         """Isometry acting as self after other."""
         return Isometry(self.matrix @ other.matrix)
@@ -365,16 +359,13 @@ def _sinh_power_series(m: int, w: np.ndarray) -> np.ndarray:
     )
 
 
-def radial_density_integral(n: int, r) -> np.ndarray | float:
-    """integral_0^r s^(n-1) (1-s^2)^(-(n+1)/2) ds = I_(n-1)(atanh r).
-
-    This is the radial factor of every volume integral in the model; the
-    substitution s = tanh(t) turns it into a sinh-power integral.
+def _radial_table(n: int, w_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Hyperbolic radii on 4097 even nodes of [0, w_max], and the
+    cumulative integral_0^w sinh^(n-1) at them: the radial inverse-CDF
+    table of the uniform measure on a ball in dimension n.
     """
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr >= 1.0) or np.any(r_arr < 0.0):
-        raise ValueError("radius must lie in [0, 1)")
-    return sinh_power_integral(n - 1, np.arctanh(r_arr))
+    radii = np.linspace(0.0, w_max, 4097)
+    return radii, np.asarray(sinh_power_integral(n - 1, radii), dtype=float)
 
 
 def ball_volume(n: int, r: float) -> float:

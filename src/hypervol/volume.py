@@ -5,8 +5,9 @@ Three routes never share code paths.  Closed forms are exact in 2D and
 the cone from the center over each facet cut into signed orthoschemes
 whose volumes follow from the Lobachevsky function (Coxeter; Kellerhals,
 "On the volume of hyperbolic polyhedra", Math. Ann. 285, 1989).
-`preferred_method` picks the closed form where one exists and adaptive
-quadrature above it.
+`preferred_method` picks the closed form where one exists, adaptive
+quadrature at n = 4 and Monte Carlo from n = 5 on, where quadrature
+stops.
 
 The quadrature reduces every volume to cone integrals over the facets of
 a body that has been recentered by an isometry.  For a facet F on a
@@ -21,11 +22,11 @@ steep) integrand over the facet remains.  That facet integral is done by
 worst-first adaptive subdivision, which grades automatically into the
 corners that near-boundary vertices make sharp.
 
-Monte Carlo backends sample simplices uniformly (Dirichlet weights) and
-regions by radius-exact importance sampling; both report sample standard
-errors and are bitwise reproducible for a fixed seed regardless of the
-worker count, because samples are drawn in fixed counter-indexed chunks
-and reduced in chunk order.
+Monte Carlo backends sample simplices uniformly (one Dirichlet draw,
+`_dirichlet_draw`) and regions by radius-exact importance sampling; both
+report sample standard errors.  All of them, and the sampled checks in
+`cones` and `experiments`, reduce through `rng._chunk_sums`, so they are
+bitwise reproducible for a fixed seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +41,7 @@ from scipy import special
 
 from .klein import (
     BOUNDARY_TOL,
+    _radial_table,
     as_coords,
     density_array,
     sinh_power_integral,
@@ -48,7 +49,7 @@ from .klein import (
     unit_sphere_area,
 )
 from .hull import Polytope, Simplex, affine_rank, apex_triangulation
-from .rng import substream
+from .rng import _chunk_sums
 
 __all__ = [
     "VolumeEstimate",
@@ -316,25 +317,24 @@ def _simplex_vertices(s) -> np.ndarray:
     return v
 
 
+def _dirichlet_draw(rng, verts: np.ndarray, m: int):
+    """m points uniform on the simplex `verts`, with their densities.
+
+    Dirichlet(1,...,1) weights via normalized exponentials.
+    """
+    e = rng.exponential(size=(m, verts.shape[0]))
+    pts = (e / e.sum(axis=1, keepdims=True)) @ verts
+    return pts, density_array(pts)
+
+
 def _simplex_mc(verts: np.ndarray, samples: int, seed: int) -> VolumeEstimate:
-    k = verts.shape[0]
     vol_e = Simplex(verts).euclidean_volume()
-    total = 0.0
-    total_sq = 0.0
-    drawn = 0
-    chunk_id = 0
-    while drawn < samples:
-        m = min(MC_CHUNK, samples - drawn)
-        rng = substream(seed, chunk_id)
-        # Dirichlet(1,...,1) via normalized exponentials: uniform on the simplex
-        e = rng.exponential(size=(m, k))
-        bary = e / e.sum(axis=1, keepdims=True)
-        pts = bary @ verts
-        w = density_array(pts)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        drawn += m
-        chunk_id += 1
+
+    def stats(rng, m):
+        _, w = _dirichlet_draw(rng, verts, m)
+        return np.array([w.sum(), (w * w).sum()])
+
+    total, total_sq = _chunk_sums(seed, samples, MC_CHUNK, stats).tolist()
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     se = math.sqrt(var / samples)
@@ -350,10 +350,9 @@ def preferred_method(n: int) -> str:
     """The volume route the experiments use in dimension n.
 
     The closed forms where they exist: exact_2d in the plane, exact_3d in
-    space.  Adaptive quadrature from n = 4 on, which itself falls back to
-    Monte Carlo for n >= 5.
+    space.  Adaptive quadrature at n = 4, Monte Carlo from n = 5 on.
     """
-    return {2: "exact_2d", 3: "exact_3d"}.get(n, "quadrature")
+    return {2: "exact_2d", 3: "exact_3d", 4: "quadrature"}.get(n, "monte_carlo")
 
 
 def _quadrature(verts: np.ndarray, center, facets, per_facet: int) -> VolumeEstimate:
@@ -404,6 +403,10 @@ def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
 
 
 def _check_dim(method: str, n: int) -> None:
+    if method == "quadrature":
+        if n > 4:
+            raise ValueError("quadrature needs n <= 4; use monte_carlo")
+        return
     want = {"exact_2d": 2, "exact_3d": 3}[method]
     if n != want:
         raise ValueError(f"{method} needs n = {want}")
@@ -415,11 +418,12 @@ def simplex_volume(
     """Hyperbolic volume of a full-dimensional simplex.
 
     method "quadrature": recenter at the centroid by an isometry, then sum
-    exact-radial cone integrals over the facets (adaptive; for n >= 5 this
-    falls back to Monte Carlo, which is the documented behavior).  Returns
-    std_error 0 and the achieved relative tolerance in metadata; if the
-    evaluation budget is exhausted first the result is best-effort,
-    achieved_rel_tol reports how far it got, and low_confidence is set.
+    exact-radial cone integrals over the facets (adaptive, n <= 4 only;
+    from n = 5 on it raises ValueError, and `preferred_method` picks
+    Monte Carlo there).  Returns std_error 0 and the achieved relative
+    tolerance in metadata; if the evaluation budget is exhausted first the
+    result is best-effort, achieved_rel_tol reports how far it got, and
+    low_confidence is set.
     method "monte_carlo": uniform Dirichlet sampling, unbiased, std_error
     from the sample variance.
     method "exact_2d": angle-defect area, n = 2 only.
@@ -444,9 +448,7 @@ def simplex_volume(
         return _simplex_mc(verts, samples, seed)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    if n >= 5:
-        samples = int(budget) if budget else _DEFAULT_MC_SAMPLES
-        return _simplex_mc(verts, samples, seed)
+    _check_dim(method, n)
     max_evals = int(budget) if budget else _DEFAULT_QUAD_EVALS
     per_facet = max(max_evals // (n + 1), 1000)
     return _quadrature(verts, verts.mean(axis=0), facets, per_facet)
@@ -460,10 +462,10 @@ def polytope_volume(
     The closed forms and the quadrature work from the interior point:
     exact_2d sums the angle defects of the triangles it fans out to the
     edges, exact_3d and quadrature recenter the polytope there by an
-    isometry and sum the facet cones.  Monte Carlo triangulates from the
-    interior point and adds per-simplex estimates with errors in
-    quadrature.  A degenerate (lower-dimensional) vertex set yields the
-    volume-0 result.
+    isometry and sum the facet cones (quadrature for n <= 4 only, as in
+    `simplex_volume`).  Monte Carlo triangulates from the interior point
+    and adds per-simplex estimates with errors in quadrature.  A
+    degenerate (lower-dimensional) vertex set yields the volume-0 result.
     """
     if affine_rank(poly.vertices) < poly.dim:
         return VolumeEstimate(0.0, 0.0, 0, method)
@@ -494,8 +496,7 @@ def polytope_volume(
         return VolumeEstimate(value, math.sqrt(var), evals, "monte_carlo")
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    if n >= 5:
-        return polytope_volume(poly, "monte_carlo", budget, seed)
+    _check_dim(method, n)
     max_evals = int(budget) if budget else _DEFAULT_QUAD_EVALS * max(
         1, len(poly.facets) // 4
     )
@@ -513,9 +514,7 @@ def _radial_sampler(n: int, big_r: float):
     radius is therefore known per segment; reweighting by the true
     sinh^(n-1) density keeps the estimator unbiased despite the table.
     """
-    w_max = math.atanh(big_r)
-    xs = np.linspace(0.0, w_max, 4097)
-    cdf = np.asarray(sinh_power_integral(n - 1, xs), dtype=float)
+    xs, cdf = _radial_table(n, math.atanh(big_r))
     total = float(cdf[-1])
     seg_dx = np.diff(xs)
     seg_df = np.maximum(np.diff(cdf), 1e-300)
@@ -543,8 +542,7 @@ def region_volume_mc(
     in hyperbolic measure up to table reweighting), whose per-sample
     contribution is bounded.  Zero hits return value 0 with a rule-of-three
     standard error and the low_confidence flag.  The estimate is identical
-    for any `workers` value: chunk c always uses substream (seed, c) and
-    chunks are reduced in index order.
+    for any `workers` value (see `rng._chunk_sums`).
     """
     n = region.dim
     big_r = region.bounding_radius
@@ -557,10 +555,7 @@ def region_volume_mc(
             sinh_power_integral(n - 1, math.atanh(big_r))
         )
 
-    def run_chunk(c: int):
-        start = c * MC_CHUNK
-        m = min(MC_CHUNK, samples - start)
-        rng = substream(seed, c)
+    def stats(rng, m):
         dirs = rng.standard_normal((m, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         if near_boundary:
@@ -573,21 +568,10 @@ def region_volume_mc(
             contrib = vol_e * density_array(pts)
         mask = np.asarray(region.membership(pts), dtype=bool)
         c_vals = np.where(mask, contrib, 0.0)
-        return float(c_vals.sum()), float((c_vals * c_vals).sum()), int(mask.sum())
+        return np.array([c_vals.sum(), (c_vals * c_vals).sum(), mask.sum()])
 
-    n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
-    total = 0.0
-    total_sq = 0.0
-    hits = 0
-    for s1, s2, h in parts:  # fixed chunk order: bitwise reproducible
-        total += s1
-        total_sq += s2
-        hits += h
+    total, total_sq, hits = _chunk_sums(seed, samples, MC_CHUNK, stats,
+                                        workers).tolist()
     if hits == 0:
         return VolumeEstimate(
             value=0.0, std_error=vol_total * 3.0 / samples,

@@ -347,9 +347,21 @@ def test_vectorized_exact_2d_matches_scalar_loop():
 
 
 def test_preferred_method_by_dimension():
-    assert [preferred_method(n) for n in (2, 3, 4, 5)] == [
-        "exact_2d", "exact_3d", "quadrature", "quadrature"]
+    assert [preferred_method(n) for n in (2, 3, 4, 5, 6)] == [
+        "exact_2d", "exact_3d", "quadrature", "monte_carlo", "monte_carlo"]
     with pytest.raises(ValueError):
         polytope_volume(convex_hull(TRI), method="exact_3d")
     with pytest.raises(ValueError):
         simplex_volume(TRI, method="exact_3d")
+
+
+def test_quadrature_refuses_n5():
+    # from n = 5 on Monte Carlo is chosen explicitly, never by a fallback
+    spx = np.vstack([np.zeros(5), 0.5 * np.eye(5)])
+    with pytest.raises(ValueError, match="quadrature"):
+        simplex_volume(spx, method="quadrature")
+    with pytest.raises(ValueError, match="quadrature"):
+        polytope_volume(convex_hull(spx), method="quadrature")
+    est = simplex_volume(spx, preferred_method(5), budget=20_000, seed=1)
+    assert est.method == "monte_carlo"
+    assert est.std_error > 0
