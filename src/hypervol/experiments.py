@@ -121,9 +121,7 @@ def _fmt(x) -> str:
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(render_csv(header, rows))
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

@@ -219,10 +219,6 @@ class Isometry:
     def dim(self) -> int:
         return self.matrix.shape[0] - 1
 
-    @staticmethod
-    def identity(n: int) -> "Isometry":
-        return Isometry(np.eye(n + 1))
-
     def minkowski_defect(self) -> float:
         """Max-abs deviation of M^T eta M from eta; 0 for an exact isometry."""
         eta = np.diag([-1.0] + [1.0] * self.dim)

@@ -197,7 +197,7 @@ def test_volume_estimate_validation_and_json():
 
 
 def test_quadrature_reports_achieved_tolerance():
-    # default target is 1e-4 relative per facet; the summed bound stays near it
+    # default target is 1e-4 relative to the whole; the summed bound stays near it
     est = simplex_volume(Simplex(TRI), budget=60_000)
     assert est.achieved_rel_tol is not None
     assert est.achieved_rel_tol < 2e-4
@@ -216,7 +216,7 @@ def test_degenerate_polytope_volume_zero():
 
 
 def test_quadrature_flags_missed_tolerance():
-    # near-ideal hull at the sweep budget: ends near 2e-2, far from 1e-4
+    # near-ideal hull at the sweep budget: ends near 1.2e-2, far from 1e-4
     pts = generate_points("uniform-ideal", 3, 64, seed=64)
     est = polytope_volume(convex_hull(pts), budget=400_000)
     assert est.achieved_rel_tol > 1e-3
@@ -229,6 +229,55 @@ def test_quadrature_flags_missed_tolerance():
                 polytope_volume(convex_hull(TRI), budget=60_000)):
         assert est.achieved_rel_tol <= 1e-4
         assert not est.low_confidence
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3, 4]), extra=st.integers(2, 14),
+       family=st.sampled_from(["uniform-ideal", "uniform-ball", "clustered"]),
+       seed=st.integers(0, 2**20), budget=st.integers(2_000, 200_000))
+def test_quadrature_budget_and_stated_tolerance(n, extra, family, seed, budget):
+    # one budget for the whole call: only the first pass over each facet,
+    # its root cell and children (q (1 + C) = n (1 + 2^(n-1)) evaluations),
+    # may exceed it; the flag is the tolerance test, and the stated
+    # tolerance covers the true error where a closed form gives it
+    poly = convex_hull(generate_points(family, n, n + extra, seed=seed))
+    est = polytope_volume(poly, "quadrature", budget=budget)
+    first_pass = len(poly.facets) * n * (1 + 2 ** (n - 1))
+    assert est.evaluations <= max(budget, first_pass)
+    assert est.low_confidence == (est.achieved_rel_tol > 1e-4)
+    if n < 4:
+        exact = polytope_volume(poly, preferred_method(n)).value
+        assert abs(est.value - exact) <= est.achieved_rel_tol * exact
+
+
+def test_quadrature_budget_is_total_on_4d_hull():
+    # 54 facets, where per-facet budget shares once spent 1,011,096 of 400k
+    poly = convex_hull(generate_points("uniform-ideal", 4, 16, seed=16))
+    est = polytope_volume(poly, "quadrature", budget=400_000)
+    fine = polytope_volume(poly, "quadrature", budget=4_000_000)
+    assert est.evaluations <= 400_000
+    assert fine.evaluations <= 4_000_000
+    assert abs(est.value - fine.value) <= est.achieved_rel_tol * est.value
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_budget_below_one_raises(method, budget):
+    with pytest.raises(ValueError, match="budget"):
+        simplex_volume(Simplex(TRI), method, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        polytope_volume(convex_hull(TRI), method, budget=budget)
+
+
+def test_polytope_mc_splits_budget_exactly():
+    # k simplices get budget // k samples each, with no per-simplex floor
+    square = convex_hull(0.4 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
+    k = len(apex_triangulation(square, square.interior_point()))
+    assert k == 4
+    assert polytope_volume(square, "monte_carlo", budget=3_000).evaluations == 3_000
+    assert polytope_volume(square, "monte_carlo", budget=k).evaluations == k
+    with pytest.raises(ValueError, match="budget"):
+        polytope_volume(square, "monte_carlo", budget=k - 1)
 
 
 def _lobachevsky_spence(x):
