@@ -14,10 +14,10 @@ import math
 import numpy as np
 
 from .klein import (
+    _check_points,
     ball_boundary_array,
     ball_volume,
     boost_to,
-    cosh_dist_matrix,
     dist_matrix,
 )
 from .hull import Polytope, convex_hull
@@ -74,25 +74,46 @@ class PackingResult:
 
 
 class UnionOfBalls:
-    """Union of equal-radius hyperbolic balls as a Monte Carlo region."""
+    """Union of equal-radius hyperbolic balls as a Monte Carlo region.
+
+    A point p lies in the ball of radius r around q when
+    cosh d(p, q) = (1 - p.q) / sqrt((1 - |p|^2)(1 - |q|^2)) <= cosh r.
+    Both square roots are positive, so with s = 1/sqrt(1 - |q|^2) the same
+    test reads s - p.(s q) <= cosh(r) sqrt(1 - |p|^2).  The centers' s and
+    s q are computed once; membership is then one product against all
+    centers, a minimum over centers and one comparison per point, with no
+    arccosh and no division per entry.  Centers are checked as `KleinPoint`
+    checks them and are read-only, so the scaled copies cannot go stale.
+    """
 
     def __init__(self, centers: np.ndarray, radius: float):
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = np.array(centers, dtype=float, ndmin=2)
+        _check_points(centers)
         if radius <= 0:
             raise ValueError("radius must be positive")
+        centers.setflags(write=False)
+        self.centers = centers
         self.radius = float(radius)
+        self._scale = 1.0 / np.sqrt(1.0 - np.sum(centers * centers, axis=1))
+        self._scaled = centers * self._scale[:, None]
 
     def membership(self, points: np.ndarray) -> np.ndarray:
-        # dist <= r  <=>  cosh(dist) <= cosh(r), and the nearest center has
-        # the smallest cosh: one comparison per row, no arccosh per entry
-        arg = cosh_dist_matrix(np.atleast_2d(points), self.centers)
-        return arg.min(axis=1) <= math.cosh(self.radius)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.centers.shape[1]:
+            raise ValueError(
+                f"query points have dimension {pts.shape[1]}, "
+                f"centers have dimension {self.centers.shape[1]}"
+            )
+        # (k, m): s_j - p_i.(s_j q_j), reduced along the contiguous m rows
+        gap = self._scale[:, None] - self._scaled @ pts.T
+        bound = math.cosh(self.radius) * np.sqrt(1.0 - np.sum(pts * pts, axis=1))
+        return gap.min(axis=0) <= bound
 
     def region(self) -> Region:
         # each ball of hyperbolic radius r around c stays inside the
-        # Euclidean radius tanh(atanh|c| + r)
+        # Euclidean radius tanh(atanh|c| + r); checked centers keep |c| < 1
         norms = np.linalg.norm(self.centers, axis=1)
-        reach = np.tanh(np.arctanh(np.clip(norms, 0.0, 1.0 - 1e-15)) + self.radius)
+        reach = np.tanh(np.arctanh(norms) + self.radius)
         return Region(
             membership=self.membership,
             bounding_radius=float(min(reach.max(), 1.0 - 1e-12)),

@@ -447,13 +447,21 @@ def polytope_volume(
     quadrature evaluations or 1 000 000 samples by default, ValueError
     below 1.  Monte Carlo gives each of the k simplices budget // k
     samples and raises ValueError for a budget below k.  A degenerate
-    (lower-dimensional) vertex set yields the volume-0 result.
+    (lower-dimensional) vertex set yields the volume-0 result, once the
+    method, the dimension and the budget have passed these checks.
     """
-    if affine_rank(poly.vertices) < poly.dim:
-        return VolumeEstimate(0.0, 0.0, 0, method)
     n = poly.dim
-    if method == "exact_2d":
+    if method == "monte_carlo":
+        samples = _budget(budget, _DEFAULT_MC_SAMPLES)
+    elif method in ("exact_2d", "exact_3d", "quadrature"):
         _check_dim(method, n)
+        if method == "quadrature":
+            quad_evals = _budget(budget, _DEFAULT_QUAD_EVALS)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if affine_rank(poly.vertices) < n:
+        return VolumeEstimate(0.0, 0.0, 0, method)
+    if method == "exact_2d":
         edges = poly.vertices[np.asarray(poly.facets)]
         apex = np.broadcast_to(poly.interior_point(), (len(edges), 1, 2))
         fan = np.concatenate([apex, edges], axis=1)
@@ -461,10 +469,8 @@ def polytope_volume(
             float(_angle_defects(fan).sum()), 0.0, 3 * len(edges), "exact_2d"
         )
     if method == "exact_3d":
-        _check_dim(method, n)
         return _exact_3d(poly.vertices, poly.interior_point(), poly.facets)
     if method == "monte_carlo":
-        samples = _budget(budget, _DEFAULT_MC_SAMPLES)
         simplices = apex_triangulation(poly, poly.interior_point())
         if samples < len(simplices):
             raise ValueError(f"budget {samples} is below one sample for each "
@@ -479,11 +485,8 @@ def polytope_volume(
             var += est.std_error ** 2
             evals += est.evaluations
         return VolumeEstimate(value, math.sqrt(var), evals, "monte_carlo")
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    _check_dim(method, n)
     return _quadrature(poly.vertices, poly.interior_point(), poly.facets,
-                       _budget(budget, _DEFAULT_QUAD_EVALS))
+                       quad_evals)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypervol import (
     PackingResult,
     UnionOfBalls,
+    ball_boundary_array,
     ball_volume,
     convex_hull,
     covering_centers,
@@ -103,6 +105,56 @@ def test_union_membership_matches_distance_rule():
             assert rule.any() and not rule.all()
             mask = UnionOfBalls(centers, radius).membership(probes)
             assert np.array_equal(mask, rule)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), k=st.integers(1, 40),
+       radius=st.floats(0.05, 2.0), seed=st.integers(0, 2**20))
+def test_union_membership_property(n, k, radius, seed):
+    # the pre-scaled product rule agrees with the distance rule on every
+    # row outside a 1e-9 relative band around the radius
+    rng = np.random.default_rng(seed)
+    centers = generate_points("uniform-ball", n, k, seed=seed, radius=1.5)
+    union = UnionOfBalls(centers, radius)
+    g = rng.standard_normal((4_000, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    probes = union.region().bounding_radius * rng.random(4_000)[:, None] * g
+    near = dist_matrix(probes, centers).min(axis=1)
+    clear = np.abs(near - radius) > 1e-9 * radius
+    assert np.array_equal(union.membership(probes)[clear],
+                          near[clear] <= radius)
+    # rings just inside each ball are in the union, rings just outside
+    # are outside their own ball
+    inner = ball_boundary_array(centers, radius * (1 - 1e-6), 16, seed)
+    outer = ball_boundary_array(centers, radius * (1 + 1e-6), 16, seed)
+    assert union.membership(inner.reshape(-1, n)).all()
+    for c, ring in zip(centers, outer):
+        assert not UnionOfBalls(c, radius).membership(ring).any()
+
+
+@pytest.mark.parametrize("centers, match", [
+    ([[1.0, 0.0], [0.0, 0.0]], "boundary"),
+    ([[np.nan, 0.0]], "finite"),
+    ([[0.5]], "dimension"),
+])
+def test_union_of_balls_rejects_bad_centers(centers, match):
+    with pytest.raises(ValueError, match=match):
+        UnionOfBalls(centers, 0.5)
+    with pytest.raises(ValueError, match=match):
+        extension_volume(centers, 0.5, samples=1_000)
+
+
+def test_union_of_balls_query_dimension_and_frozen_centers():
+    given_centers = np.zeros((2, 3))
+    union = UnionOfBalls(given_centers, 0.5)
+    with pytest.raises(ValueError, match="dimension 2.*dimension 3"):
+        union.membership(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="read-only"):
+        union.centers[0, 0] = 0.1
+    # the union keeps its own copy: the caller's array stays writable
+    given_centers[0, 0] = 0.9
+    assert union.membership(np.zeros((1, 3))).all()
+    assert not union.membership(np.array([[0.9, 0.0, 0.0]])).any()
 
 
 def test_sandwich_check_clean_packing():

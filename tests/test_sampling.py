@@ -18,6 +18,7 @@ from hypervol import (
     RunConfig,
     Simplex,
     convex_hull,
+    extension_volume,
     generate_points,
     polytope_volume,
     region_volume_mc,
@@ -73,6 +74,23 @@ def test_polytope_mc_pinned():
 def test_region_mc_pinned(bounding_radius, value, std_error, workers):
     est = region_volume_mc(_offset_ball(bounding_radius), samples=70_000,
                            seed=17, workers=workers)
+    assert (est.value, est.std_error) == (value, std_error)
+
+
+@pytest.mark.parametrize("points, eps, samples, seed, value, std_error", [
+    # criterion-8 instance 2: bounding radius past 0.99, radial table
+    (("chain", 2, 8, 802), 1.0, 200_000, 802,
+     13.102870349456008, 0.05751507210218059),
+    # criterion-8 instance 45: Euclidean proposals
+    (("uniform-ball", 3, 10, 845), 0.7, 600_000, 845,
+     12.863560102828268, 0.057666735347710996),
+])
+def test_extension_volume_pinned(points, eps, samples, seed, value, std_error):
+    family, n, count, point_seed = points
+    kw = {"chain_spacing": 0.6} if family == "chain" else {}
+    pts = generate_points(family, n, count, seed=point_seed, **kw)
+    est = extension_volume(pts, eps, samples=samples, seed=seed,
+                           check_lower_bound=False)
     assert (est.value, est.std_error) == (value, std_error)
 
 

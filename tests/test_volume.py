@@ -215,6 +215,22 @@ def test_degenerate_polytope_volume_zero():
     assert est.value == 0.0
 
 
+@pytest.mark.parametrize("method, budget, match", [
+    ("auto", None, "unknown method"),
+    ("quadrature", -5, "budget"),
+    ("monte_carlo", -5, "budget"),
+    ("exact_3d", None, "needs n = 3"),
+])
+def test_degenerate_polytope_checks_arguments_first(method, budget, match):
+    # the volume-0 short cut comes after the checks a full polytope gets
+    from hypervol.hull import Polytope
+
+    flat = Polytope([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [(0, 2)],
+                    np.array([[0.0, 1.0]]), np.array([0.0]), 0.0)
+    with pytest.raises(ValueError, match=match):
+        polytope_volume(flat, method, budget=budget)
+
+
 def test_quadrature_flags_missed_tolerance():
     # near-ideal hull at the sweep budget: ends near 1.2e-2, far from 1e-4
     pts = generate_points("uniform-ideal", 3, 64, seed=64)
