@@ -316,15 +316,27 @@ def sinh_power_integral(m: int, w) -> np.ndarray | float:
     Uses the reduction
         I_m = sinh^(m-1)(w) cosh(w)/m - (m-1)/m I_(m-2)
     with a Taylor series below w = 0.01 where the reduction would cancel.
+    A Python float (np.float64 included) runs the same recurrence and
+    series on `math` and returns a float: scalar integrands call this once
+    per point, where numpy's per-call cost would dominate.  Any other
+    scalar returns a float through the numpy path, and arrays return
+    arrays.
     """
     if m < 0 or m > 15:
         raise ValueError("unsupported sinh power")
+    if isinstance(w, float):
+        w = float(w)
+        if w < 0:
+            raise ValueError("negative upper limit")
+        if m >= 2 and w < 1e-2:
+            return _sinh_power_series(m, w)
+        return _sinh_power_recursive(m, w, math.sinh, math.cosh)
     w_arr = np.asarray(w, dtype=float)
     scalar = w_arr.ndim == 0
     w_arr = np.atleast_1d(w_arr)
     if np.any(w_arr < 0):
         raise ValueError("negative upper limit")
-    out = _sinh_power_recursive(m, w_arr)
+    out = _sinh_power_recursive(m, w_arr, np.sinh, np.cosh)
     if m >= 2:
         small = w_arr < 1e-2
         if np.any(small):
@@ -332,21 +344,23 @@ def sinh_power_integral(m: int, w) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def _sinh_power_recursive(m: int, w: np.ndarray) -> np.ndarray:
+def _sinh_power_recursive(m: int, w, sinh, cosh):
+    # w is a float or an array; sinh and cosh are the matching functions
     if m == 0:
-        return w.copy()
+        return 1.0 * w  # a new array, never the caller's
     if m == 1:
         # cosh(w) - 1, written to avoid cancellation at small w
-        return 2.0 * np.sinh(w / 2.0) ** 2
-    s, c = np.sinh(w), np.cosh(w)
-    prev2 = _sinh_power_recursive(m % 2, w)
+        return 2.0 * sinh(w / 2.0) ** 2
+    s, c = sinh(w), cosh(w)
+    prev2 = _sinh_power_recursive(m % 2, w, sinh, cosh)
     k = m % 2
     while k < m:
         k += 2
         prev2 = s ** (k - 1) * c / k - (k - 1) / k * prev2
     return prev2
 
-def _sinh_power_series(m: int, w: np.ndarray) -> np.ndarray:
+
+def _sinh_power_series(m: int, w):
     # sinh^m t = t^m (1 + m t^2/6 + (m/120 + m(m-1)/72) t^4 + O(t^6))
     c2 = m / 6.0
     c4 = m / 120.0 + m * (m - 1) / 72.0

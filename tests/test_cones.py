@@ -8,6 +8,7 @@ the inequality chain integral <= first summand + second summand.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,11 +40,16 @@ from hypervol import (
     t_function,
     tangent_grid,
     triangle_area_2d,
+    unit_sphere_area,
     verify_facet_decomposition,
 )
 
 R = 0.95
 SQUARE = np.array([[R, 0.0], [0.0, R], [-R, 0.0], [0.0, -R]])
+_ANG = 2.0 * math.pi * np.arange(5) / 5
+# near-ideal hulls: every section is truncated just short of the sphere
+PENTAGON = 0.999 * np.column_stack([np.cos(_ANG), np.sin(_ANG)])
+OCTAHEDRON = 0.999 * np.vstack([np.eye(3), -np.eye(3)])
 
 
 def ideal_section(n: int, phi: float, apex_radius: float = 1.0):
@@ -211,6 +217,16 @@ def test_cone_volume_equals_triangle_areas_2d():
     )
     assert est.value == pytest.approx(total, rel=1e-9)
     assert est.method == "quadrature"
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_cone_budget_below_one_raises(budget):
+    poly = convex_hull(PENTAGON)
+    secs = cone_sections(poly, poly.vertices[0], 16)
+    with pytest.raises(ValueError, match="budget"):
+        cone_volume(secs, 2, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        cone_report(poly, poly.vertices[0], 16, budget=budget)
 
 
 def test_cone_volume_requires_common_apex():
@@ -463,3 +479,26 @@ def test_cone_report_structure():
                                   "method", "low_confidence",
                                   "achieved_rel_tol"}
     assert isinstance(rep["volume"]["low_confidence"], bool)
+
+
+@pytest.mark.parametrize("budget", [None, 20_000])
+@pytest.mark.parametrize("pts, grid", [(PENTAGON, 16), (OCTAHEDRON, 8)])
+def test_cone_report_deficit_matches_section_integrals(pts, grid, budget):
+    poly = convex_hull(pts)
+    n, x = poly.dim, poly.vertices[0]
+    rep = cone_report(poly, x, grid, budget=budget)
+    secs = cone_sections(poly, x, grid)
+    assert all(s.apex_radius < 1.0 for s in secs)
+    gaps = [section_integral(replace(s, apex_radius=1.0), n)[0]
+            - section_integral(s, n)[0] for s in secs]
+    expected = unit_sphere_area(n - 2) * float(np.mean(gaps))
+    assert expected > 0.0
+    assert rep["truncation_deficit"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_cone_report_states_quadrature_error():
+    poly = convex_hull(PENTAGON)
+    vol = cone_report(poly, poly.vertices[0], 16)["volume"]
+    tol = vol["achieved_rel_tol"]
+    assert isinstance(tol, float) and math.isfinite(tol)
+    assert vol["low_confidence"] == (tol > 1e-4)
