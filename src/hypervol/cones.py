@@ -23,6 +23,11 @@ integral, kept as an oracle).  In the anchored chart with coordinates
 {0 <= u <= 1, 0 <= v <= L(u)} where L(u) = u cot(phi) up to u = sin^2(phi)
 and (1-u) tan(phi) beyond, and the inner v-integral has the exact
 antiderivative v^(n-1) / ((n-1) D (D - v^2)^((n-1)/2)), D = 2u - u^2.
+One routine integrates this chart over a triangle given by its (u, v)
+vertices, each u-interval split geometrically and integrated by QUADPACK
+to epsabs 1e-14, epsrel 1e-9; the uv chart of a (possibly truncated)
+section and the bounding integral `cone_integral_bound` over the full
+ideal section both go through it.
 """
 
 from __future__ import annotations
@@ -345,62 +350,45 @@ def _inner_closed(n: int, s: float, d: float) -> float:
     return s ** (n - 1) / ((n - 1) * d * gap ** ((n - 1) / 2.0))
 
 
-def _section_integral_uv(section: ConeSection, n: int, limit: int = 300):
-    """Same section integral in the chart anchored at the ideal apex.
+def _uv_triangle(n: int, verts, limit: int = 300):
+    """integral of v^(n-2) (D - v^2)^(-(n+1)/2), D = 2u - u^2, over a triangle.
 
-    point = (1-u) x + v theta; the triangle becomes {u0 <= u <= 1,
-    0 <= v <= edge(u)} with a piecewise-linear edge through the far point,
-    and the inner v-integral is evaluated in closed form.
+    The triangle is given by three (u, v) vertices with v >= 0.  Sorted by
+    u, it spans two u-intervals; on each the v-range lies between two of
+    its edges, and the inner v-integral is evaluated in closed form.  Near
+    a small left end the integrand varies on the scale of u itself, and one
+    quad call over the whole interval samples too coarsely there and can
+    miss most of a narrow triangle, so each interval is split geometrically
+    at lo, 10 lo, 100 lo, ... and every piece is integrated to epsabs 1e-14,
+    epsrel 1e-9 with `limit` subintervals.  Returns (value, evaluations).
     """
-    u0 = 1.0 - section.apex_radius
-    a1, b1 = section.plane_coords()
-    uf, vf = 1.0 - a1, b1
+    (u0, v0), (u1, v1), (u2, v2) = sorted(verts)
     evals = 0
 
-    def chord(u):
-        return vf * (1.0 - u) / max(1.0 - uf, 1e-300)
+    def line(ua, va, ub, vb):
+        # an edge on the u-axis has a zero inner integral and drops out
+        if va == vb == 0.0:
+            return None
+        den = max(ub - ua, 1e-300)
+        return lambda u: va * (ub - u) / den + vb * (u - ua) / den
 
-    if uf >= u0:
-        # apex edge rises to the far point, then the chord descends
-        def edge(u):
-            if u <= uf:
-                return vf * (u - u0) / max(uf - u0, 1e-300)
-            return chord(u)
-
-        def outer(u):
-            nonlocal evals
-            evals += 1
-            d = 2.0 * u - u * u
-            return _inner_closed(n, edge(u), d)
-
-        pieces = ((outer, u0, uf), (outer, uf, 1.0))
-    else:
-        # far point radially beyond the truncated apex: on [uf, u0] the
-        # section is the v-band between the apex edge and the chord
-        def apex_edge(u):
-            return vf * (u0 - u) / max(u0 - uf, 1e-300)
-
-        def outer_band(u):
-            nonlocal evals
-            evals += 1
-            d = 2.0 * u - u * u
-            return _inner_closed(n, chord(u), d) - _inner_closed(n, apex_edge(u), d)
-
-        def outer_full(u):
-            nonlocal evals
-            evals += 1
-            d = 2.0 * u - u * u
-            return _inner_closed(n, chord(u), d)
-
-        pieces = ((outer_band, uf, u0), (outer_full, u0, 1.0))
-
+    long_edge = line(u0, v0, u2, v2)
+    # the middle vertex above the long edge puts the two short edges on top
+    above = long_edge is None or v1 >= long_edge(u1)
     total = 0.0
-    for f, lo, hi in pieces:
+    for lo, hi, short_edge in ((u0, u1, line(u0, v0, u1, v1)),
+                               (u1, u2, line(u1, v1, u2, v2))):
         if hi - lo <= 1e-15:
             continue
-        # near a truncated apex the integrand varies on the scale of u
-        # itself; one quad call over [lo, hi] samples too coarsely near lo
-        # and can miss most of a narrow section, so split geometrically
+        top, bottom = (short_edge, long_edge) if above else (long_edge, short_edge)
+
+        def f(u, top=top, bottom=bottom):
+            nonlocal evals
+            evals += 1
+            d = 2.0 * u - u * u
+            val = _inner_closed(n, top(u), d)
+            return val if bottom is None else val - _inner_closed(n, bottom(u), d)
+
         cuts = [lo]
         while lo > 0.0 and cuts[-1] * 10.0 < hi:
             cuts.append(cuts[-1] * 10.0)
@@ -417,7 +405,11 @@ def section_integral(section: ConeSection, n: int, chart: str = "polar"):
         val, _, evals = _section_integral_polar(section, n)
         return val, evals
     if chart == "uv":
-        return _section_integral_uv(section, n)
+        # point = (1-u) x + v theta: the apex point sits at u = 1 - apex_radius
+        a, b = section.plane_coords()
+        return _uv_triangle(
+            n, [(1.0 - section.apex_radius, 0.0), (1.0 - a, b), (1.0, 0.0)]
+        )
     raise ValueError(f"unknown chart {chart!r}")
 
 
@@ -485,24 +477,19 @@ def cone_integral_bound(n: int, phi: float) -> float:
     """The iterated bounding integral over the full ideal section.
 
     Integrand v^(n-2) (1 - (1-u)^2 - v^2)^(-(n+1)/2) over the triangle
-    {0 <= u <= 1, 0 <= v <= L(u)}; the inner integral is closed-form and
-    the outer integral is adaptive with a breakpoint at u = sin^2(phi).
+    {0 <= u <= 1, 0 <= v <= L(u)} with vertices (0, 0),
+    (sin^2 phi, sin phi cos phi) and (1, 0): the uv chart of the ideal
+    section, through the same triangle routine (inner integral in closed
+    form, outer adaptive on [0, sin^2 phi] and on [sin^2 phi, 1], split at
+    sin^2 phi times powers of 10, to epsabs 1e-14, epsrel 1e-9).
     Estimates above 1e9 raise SingularIntegralError.
     """
     if not 0 < phi < math.pi / 2:
         raise ValueError("phi must lie in (0, pi/2)")
     if n < 2:
         raise ValueError("n must be >= 2")
-    s2 = math.sin(phi) ** 2
-    tan_phi = math.tan(phi)
-
-    def outer(u):
-        edge = u / tan_phi if u <= s2 else (1.0 - u) * tan_phi
-        return _inner_closed(n, edge, 2.0 * u - u * u)
-
-    val, _ = _quad(
-        outer, 0.0, 1.0, points=[s2], limit=300, epsabs=1e-13, epsrel=1e-10
-    )
+    s, c = math.sin(phi), math.cos(phi)
+    val, _ = _uv_triangle(n, [(0.0, 0.0), (s * s, s * c), (1.0, 0.0)])
     if abs(val) > 1e9:
         raise SingularIntegralError(f"bounding integral diverged: {val:.3e}")
     return val

@@ -65,7 +65,6 @@ class RunConfig:
     out: str | None = None
     workers: int = 1
     boundary_samples: int = 256
-    grid: int = 32
     phis: tuple = (0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.0995)
     cone_dims: tuple = (2, 3, 4, 5, 6, 7, 8)
     d_values: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
@@ -326,40 +325,37 @@ def cmd_theorem2_check(config: RunConfig):
     rows: list[list] = []
     failures: list[str] = []
     eps = config.epsilon
+    inst = 0
 
-    def ratio(pts, seed_r):
-        return theorem2_ratio(
+    def row(family, n, d, seed_r, hull_v, ext_v, r, method, low):
+        nonlocal inst
+        rows.append([inst, family, n, eps, d, seed_r, config.budget,
+                     config.mc_samples, hull_v, ext_v, r, method, low])
+        inst += 1
+        return r
+
+    def ratio_row(family, n, d, seed_r, pts):
+        rep = theorem2_ratio(
             pts, eps, samples=config.mc_samples,
             boundary_samples=config.boundary_samples, budget=config.budget,
             seed=seed_r, workers=config.workers,
         )
+        return row(family, n, d, seed_r, rep["hull"].value, rep["union"].value,
+                   rep["ratio"], rep["hull"].method, rep["low_confidence"])
 
-    inst = 0
     two_point = []
     for d in config.d_values:
         seed_r = _derive_seed(config.seed, 2, inst)
         p = math.tanh(d / 2.0)
         pts = np.array([[-p, 0.0], [p, 0.0]])
-        rep = ratio(pts, seed_r)
-        rows.append([
-            inst, "two-point", 2, eps, float(d), seed_r, config.budget,
-            config.mc_samples, rep["hull"].value, rep["union"].value,
-            rep["ratio"], rep["hull"].method, rep["low_confidence"],
-        ])
-        two_point.append((float(d), rep["ratio"]))
-        inst += 1
+        r = ratio_row("two-point", 2, float(d), seed_r, pts)
+        two_point.append((float(d), r))
     for d in config.d_values:
         if d <= 2 * eps:
             continue
-        seed_r = _derive_seed(config.seed, 2, inst)
-        hull_v = math.pi * eps * eps + 2.0 * eps * d
-        ext_v = 2.0 * math.pi * eps * eps
-        rows.append([
-            inst, "two-point-euclidean", 2, eps, float(d), seed_r,
-            config.budget, config.mc_samples, hull_v, ext_v,
-            euclidean_capsule_ratio(d, eps), "closed_form", False,
-        ])
-        inst += 1
+        row("two-point-euclidean", 2, float(d), _derive_seed(config.seed, 2, inst),
+            math.pi * eps * eps + 2.0 * eps * d, 2.0 * math.pi * eps * eps,
+            euclidean_capsule_ratio(d, eps), "closed_form", False)
     cluster_ratios: dict[int, list[float]] = {}
     for n in config.dims:
         for k in range(config.instances):
@@ -368,40 +364,20 @@ def cmd_theorem2_check(config: RunConfig):
                 "clustered", n, 20, seed_r, clusters=config.clusters,
                 cluster_radius=config.cluster_radius, spread=config.spread,
             )
-            rep = ratio(pts, seed_r)
-            rows.append([
-                inst, "cluster", n, eps, "", seed_r, config.budget,
-                config.mc_samples, rep["hull"].value, rep["union"].value,
-                rep["ratio"], rep["hull"].method, rep["low_confidence"],
-            ])
-            cluster_ratios.setdefault(n, []).append(rep["ratio"])
-            if not math.isfinite(rep["ratio"]) or rep["ratio"] < 1.0:
-                failures.append(
-                    f"cluster ratio not >= 1: n={n} inst={k} {rep['ratio']!r}"
-                )
-            inst += 1
+            r = ratio_row("cluster", n, "", seed_r, pts)
+            cluster_ratios.setdefault(n, []).append(r)
+            if not math.isfinite(r) or r < 1.0:
+                failures.append(f"cluster ratio not >= 1: n={n} inst={k} {r!r}")
     seed_r = _derive_seed(config.seed, 2, 500)
     pts = generate_points("chain", 2, 8, seed_r, chain_spacing=config.chain_spacing)
-    rep = ratio(pts, seed_r)
-    rows.append([
-        inst, "chain", 2, eps, "", seed_r, config.budget, config.mc_samples,
-        rep["hull"].value, rep["union"].value, rep["ratio"],
-        rep["hull"].method, rep["low_confidence"],
-    ])
-    if not math.isfinite(rep["ratio"]) or rep["ratio"] <= 0:
-        failures.append(f"chain ratio not finite/positive: {rep['ratio']!r}")
-    inst += 1
+    r = ratio_row("chain", 2, "", seed_r, pts)
+    if not math.isfinite(r) or r <= 0:
+        failures.append(f"chain ratio not finite/positive: {r!r}")
     seed_r = _derive_seed(config.seed, 2, 600)
     pts = generate_points("uniform-ball", 2, 40, seed_r, radius=config.ball_radius)
-    rep = ratio(pts, seed_r)
-    rows.append([
-        inst, "dense-ball", 2, eps, "", seed_r, config.budget,
-        config.mc_samples, rep["hull"].value, rep["union"].value,
-        rep["ratio"], rep["hull"].method, rep["low_confidence"],
-    ])
-    if rep["ratio"] > 1.1:
-        failures.append(f"dense-ball ratio above 1.1: {rep['ratio']!r}")
-    inst += 1
+    r = ratio_row("dense-ball", 2, "", seed_r, pts)
+    if r > 1.1:
+        failures.append(f"dense-ball ratio above 1.1: {r!r}")
 
     tail = [r for d, r in two_point if 5.0 <= d <= 10.0]
     summary = {"two_point": dict((str(d), r) for d, r in two_point)}
@@ -665,6 +641,8 @@ def cmd_hull_volume(config: RunConfig):
         "std_error": est.std_error,
         "method": est.method,
         "evaluations": est.evaluations,
+        "low_confidence": bool(est.low_confidence),
+        "achieved_rel_tol": est.to_json_dict()["achieved_rel_tol"],
         "seed": config.seed,
         "budget": config.budget,
     }

@@ -245,7 +245,8 @@ def theorem2_ratio(
     Returns the ratio together with both estimates.  The hull volume takes
     the route `preferred_method` picks: a closed form in 2D and 3D, facet
     quadrature with evaluation budget `budget` above.  The union volume is
-    Monte Carlo with `samples` draws.
+    Monte Carlo with `samples` draws.  The ratio is low_confidence when
+    the hull estimate is, or when the union's relative SE exceeds 5%.
     """
     poly = hull_of_extension(points, epsilon, boundary_samples, seed=seed)
     hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
@@ -258,7 +259,7 @@ def theorem2_ratio(
         "hull": hull_est,
         "union": union_est,
         "ratio": hull_est.value / union_est.value,
-        "low_confidence": bool(rel > 0.05),
+        "low_confidence": bool(hull_est.low_confidence or rel > 0.05),
     }
 
 

@@ -3,8 +3,9 @@
 The section integral has two independent charts (polar and an anchored
 (u, v) chart); the bounding integral has frozen reference values computed
 from the closed-form inner antiderivative.  Tests pit the implementation
-against those references, against the 2D angle-defect area, and against
-the inequality chain integral <= first summand + second summand.
+against those references, against the polar chart of the ideal section,
+against the 2D angle-defect area, and against the inequality chain
+integral <= first summand + second summand.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypervol import (
     ConeSection,
     IdealPoint,
     NoSectionError,
+    RunConfig,
     Simplex,
     boundary_ray,
     boundary_rays,
@@ -257,6 +259,16 @@ def test_bound_frozen_references():
         0.14226249522387394, rel=1e-12)
     assert cone_integral_bound(8, 0.05) == pytest.approx(
         0.02300622122314603, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bound_matches_polar_chart_at_narrow_apertures(n):
+    # the bounding integral is the section integral of the ideal section;
+    # a single quad call over [0, 1] once returned about half of it for
+    # phi <= 0.0075, e.g. at (8, 0.005), (3, 0.001) and (7, 0.002)
+    for phi in RunConfig().phis + (0.001, 0.002, 0.003):
+        polar, _ = section_integral(ideal_section(n, phi), n, chart="polar")
+        assert cone_integral_bound(n, phi) == pytest.approx(polar, rel=1e-8)
 
 
 def test_bound_argument_validation():

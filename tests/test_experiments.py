@@ -262,12 +262,14 @@ def test_cli_seed_override_changes_rows(tmp_path):
 def test_cli_hull_volume_json(tmp_path, capsys):
     from hypervol import pointcloud
 
-    for n, method in ((2, "exact_2d"), (3, "exact_3d")):
+    for n, method, flagged in ((2, "exact_2d", False), (3, "exact_3d", False),
+                               (4, "quadrature", True)):
         pts = generate_points("uniform-ball", n, 12, seed=6)
         pts_path = tmp_path / f"cloud{n}.csv"
         pointcloud.save_points(str(pts_path), pts, model="klein")
         cfg_path = tmp_path / f"hv{n}.json"
-        cfg_path.write_text(json.dumps({"points_path": str(pts_path)}),
+        cfg_path.write_text(json.dumps({"points_path": str(pts_path),
+                                        "budget": 5_000}),
                             encoding="utf-8")
         out_path = tmp_path / f"hv{n}.out.json"
         code = cli.main(["hull-volume", "--config", str(cfg_path),
@@ -278,3 +280,11 @@ def test_cli_hull_volume_json(tmp_path, capsys):
         assert saved["num_points"] == 12
         assert saved["volume"] > 0
         assert saved["method"] == method
+        # the pedigree: exact_2d states no tolerance, and a 4D hull held
+        # to 5,000 evaluations misses 1e-4 and says so
+        assert saved["low_confidence"] is flagged
+        tol = saved["achieved_rel_tol"]
+        if n == 2:
+            assert tol is None
+        else:
+            assert (tol > 1e-4) is flagged

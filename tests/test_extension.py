@@ -299,3 +299,15 @@ def test_theorem2_ratio_hull_budget_is_its_own():
         out = theorem2_ratio(pts, 0.5, samples=samples, boundary_samples=8,
                              seed=3, budget=200_000)
         assert out["hull"] == want
+
+
+def test_theorem2_ratio_carries_the_hull_flag():
+    # a 4D quadrature hull short of its tolerance flags the ratio, although
+    # the union's SE alone would pass
+    pts = generate_points("clustered", 4, 8, seed=3, cluster_radius=1.0,
+                          spread=0.3)
+    out = theorem2_ratio(pts, 1.0, samples=200_000, boundary_samples=16,
+                         budget=20_000, seed=3)
+    assert out["hull"].low_confidence
+    assert out["union"].std_error <= 0.05 * out["union"].value
+    assert out["low_confidence"]
