@@ -40,7 +40,7 @@ import numpy as np
 from scipy import integrate
 
 from .klein import (
-    BOUNDARY_TOL,
+    IDEAL_TRUNCATION,
     IdealPoint,
     KleinPoint,
     as_coords,
@@ -350,7 +350,7 @@ def _inner_closed(n: int, s: float, d: float) -> float:
     return s ** (n - 1) / ((n - 1) * d * gap ** ((n - 1) / 2.0))
 
 
-def _uv_triangle(n: int, verts, limit: int = 300):
+def _uv_triangle(n: int, verts):
     """integral of v^(n-2) (D - v^2)^(-(n+1)/2), D = 2u - u^2, over a triangle.
 
     The triangle is given by three (u, v) vertices with v >= 0.  Sorted by
@@ -360,7 +360,7 @@ def _uv_triangle(n: int, verts, limit: int = 300):
     quad call over the whole interval samples too coarsely there and can
     miss most of a narrow triangle, so each interval is split geometrically
     at lo, 10 lo, 100 lo, ... and every piece is integrated to epsabs 1e-14,
-    epsrel 1e-9 with `limit` subintervals.  Returns (value, evaluations).
+    epsrel 1e-9 with at most 300 subintervals.  Returns (value, evaluations).
     """
     (u0, v0), (u1, v1), (u2, v2) = sorted(verts)
     evals = 0
@@ -394,7 +394,7 @@ def _uv_triangle(n: int, verts, limit: int = 300):
             cuts.append(cuts[-1] * 10.0)
         cuts.append(hi)
         for a, b in zip(cuts[:-1], cuts[1:]):
-            val, _ = _quad(f, a, b, limit=limit, epsabs=1e-14, epsrel=1e-9)
+            val, _ = _quad(f, a, b, limit=300, epsabs=1e-14, epsrel=1e-9)
             total += val
     return total, evals
 
@@ -528,9 +528,9 @@ def second_summand(n: int, phi: float) -> float:
     return s ** (n - 1) * c * sinh_power_integral(n - 1, upper)
 
 
-def majorant(n: int, phi: float, c_prime: float = 1.0) -> float:
-    """The corrected explicit bound: first summand + 1 + c_prime."""
-    return first_summand_closed(n, phi) + 1.0 + c_prime
+def majorant(n: int, phi: float) -> float:
+    """The corrected explicit bound: first summand + 1 + C', with C' = 1."""
+    return first_summand_closed(n, phi) + 1.0 + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +596,13 @@ def lemma1_det(facet: np.ndarray, i: int) -> float:
     return float(np.linalg.det(lemma1_matrix(facet, i)))
 
 
-def _in_plane_tilde_membership(a, b, xa, za, zb, tol=1e-10):
+def _in_plane_tilde_membership(a, b, xa, za, zb):
     """Is the in-plane point (a, b) inside conv((xa,0), midpoint, (0,0))?
 
     The midpoint is ((xa+za)/2, zb/2), halfway along the edge toward the
     in-hull endpoint (za, zb).
     """
+    tol = 1e-10
     ma, mb = (xa + za) / 2.0, zb / 2.0
     inside = b >= -tol
     # side of the line origin -> midpoint (apex side)
@@ -698,20 +699,17 @@ def verify_facet_decomposition(
 # ---------------------------------------------------------------------------
 # net densification
 
-def densify_net(
-    points: np.ndarray, cap: float = PHI_CAP, grid: int = 32,
-    max_rounds: int = 10,
-) -> np.ndarray:
-    """Add near-ideal points until all section angles fall below cap.
+def densify_net(points: np.ndarray, grid: int = 32) -> np.ndarray:
+    """Add near-ideal points until all section angles fall below PHI_CAP.
 
     Each wide section (apex x, sphere point y) is split by inserting the
-    normalized midpoint direction of x and y at the standard truncation
-    radius; adding points only grows the hull, which is the sound
-    direction for upper-bound experiments.
+    normalized midpoint direction of x and y at IDEAL_TRUNCATION; adding
+    points only grows the hull, which is the sound direction for
+    upper-bound experiments.  Stops after 10 rounds.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     n = pts.shape[1]
-    for _ in range(max_rounds):
+    for _ in range(10):
         poly = convex_hull(pts)
         new_dirs = []
         for v in poly.vertices:
@@ -725,12 +723,12 @@ def densify_net(
             fa = far @ u
             fb = np.einsum("kn,kn->k", far, thetas)
             phis = np.arctan2(fb, fa)
-            for k in np.nonzero(phis >= cap)[0]:
+            for k in np.nonzero(phis >= PHI_CAP)[0]:
                 mid = v + y[k]
                 new_dirs.append(mid / np.linalg.norm(mid))
         if not new_dirs:
             return pts
-        added = (1.0 - 1e-6) * np.array(new_dirs)
+        added = IDEAL_TRUNCATION * np.array(new_dirs)
         pts = np.vstack([pts, added])
     return pts
 

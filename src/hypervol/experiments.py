@@ -14,7 +14,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .klein import KleinPoint, _radial_table, dist_matrix, translation_to
+from .klein import (IDEAL_TRUNCATION, KleinPoint, _radial_table, dist_matrix,
+                    translation_to)
 from .hull import DegenerateHullError, convex_hull
 from .rng import _chunk_sums, substream
 from .volume import (MC_CHUNK, _dirichlet_draw, polytope_volume,
@@ -45,8 +46,6 @@ __all__ = [
     "cmd_hull_volume",
 ]
 
-IDEAL_TRUNCATION = 1.0 - 1e-6
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -69,15 +68,7 @@ class RunConfig:
     cone_dims: tuple = (2, 3, 4, 5, 6, 7, 8)
     d_values: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
     instances: int = 3
-    clusters: int = 4
-    cluster_radius: float = 2.5
-    spread: float = 0.5
-    ball_radius: float = 1.5
-    chain_spacing: float = 1.25
     steps: int = 120
-    t_start: float = 0.3
-    t_end: float = 0.01
-    move_scale: float = 0.3
     r_values: tuple = (1.0, 2.0, 5.0)
     c_values: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2)
     points_path: str | None = None
@@ -153,7 +144,7 @@ def generate_points(
 ) -> np.ndarray:
     """One of the named point families, deterministic per (family, seed).
 
-    uniform-ideal: unit directions truncated at Euclidean norm 1 - 1e-6.
+    uniform-ideal: unit directions scaled to Euclidean norm IDEAL_TRUNCATION.
     uniform-ball: hyperbolically uniform in a centered ball.
     clustered: regularly placed cluster centers at a fixed hyperbolic
     radius, one seeded global rotation, local uniform-ball jitter,
@@ -246,12 +237,7 @@ def cmd_theorem1_sweep(config: RunConfig):
                 used_seed = seed_r
                 for attempt in range(3):
                     used_seed = seed_r + attempt
-                    pts = generate_points(
-                        config.family, n, size, used_seed,
-                        radius=config.ball_radius, clusters=config.clusters,
-                        cluster_radius=config.cluster_radius,
-                        spread=config.spread,
-                    )
+                    pts = generate_points(config.family, n, size, used_seed)
                     try:
                         poly = convex_hull(pts)
                     except DegenerateHullError:
@@ -360,21 +346,18 @@ def cmd_theorem2_check(config: RunConfig):
     for n in config.dims:
         for k in range(config.instances):
             seed_r = _derive_seed(config.seed, n, 100 + k)
-            pts = generate_points(
-                "clustered", n, 20, seed_r, clusters=config.clusters,
-                cluster_radius=config.cluster_radius, spread=config.spread,
-            )
+            pts = generate_points("clustered", n, 20, seed_r)
             r = ratio_row("cluster", n, "", seed_r, pts)
             cluster_ratios.setdefault(n, []).append(r)
             if not math.isfinite(r) or r < 1.0:
                 failures.append(f"cluster ratio not >= 1: n={n} inst={k} {r!r}")
     seed_r = _derive_seed(config.seed, 2, 500)
-    pts = generate_points("chain", 2, 8, seed_r, chain_spacing=config.chain_spacing)
+    pts = generate_points("chain", 2, 8, seed_r)
     r = ratio_row("chain", 2, "", seed_r, pts)
     if not math.isfinite(r) or r <= 0:
         failures.append(f"chain ratio not finite/positive: {r!r}")
     seed_r = _derive_seed(config.seed, 2, 600)
-    pts = generate_points("uniform-ball", 2, 40, seed_r, radius=config.ball_radius)
+    pts = generate_points("uniform-ball", 2, 40, seed_r)
     r = ratio_row("dense-ball", 2, "", seed_r, pts)
     if r > 1.1:
         failures.append(f"dense-ball ratio above 1.1: {r!r}")
@@ -512,6 +495,12 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
     return flat, total
 
 
+# annealing schedule of cmd_extremal_search
+T_START = 0.3
+T_END = 0.01
+MOVE_SCALE = 0.3
+
+
 def cmd_extremal_search(config: RunConfig):
     """Elitist annealing over point directions, maximizing hull volume.
 
@@ -543,17 +532,17 @@ def cmd_extremal_search(config: RunConfig):
     header = [
         "step", "seed", "budget", "temperature", "current", "best", "accepted",
     ]
-    rows: list[list] = [[0, config.seed, obj_budget, config.t_start, cur_val,
+    rows: list[list] = [[0, config.seed, obj_budget, T_START, cur_val,
                          best_val, 1]]
     failures: list[str] = []
-    decay = (config.t_end / config.t_start) ** (1.0 / max(config.steps - 1, 1))
-    temp = config.t_start
+    decay = (T_END / T_START) ** (1.0 / max(config.steps - 1, 1))
+    temp = T_START
     for step in range(1, config.steps + 1):
         idx = int(rng.integers(count))
         cand = cur.copy()
         v = cand[idx]
         r = np.linalg.norm(v)
-        d = v / r + config.move_scale * temp * rng.standard_normal(n)
+        d = v / r + MOVE_SCALE * temp * rng.standard_normal(n)
         cand[idx] = r * d / np.linalg.norm(d)
         cand_val = objective(cand)
         delta = (cand_val - cur_val) / max(abs(best_val), 1.0)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .klein import (
+    BOUNDARY_TOL,
     _check_points,
     ball_boundary_array,
     ball_volume,
@@ -116,7 +117,7 @@ class UnionOfBalls:
         reach = np.tanh(np.arctanh(norms) + self.radius)
         return Region(
             membership=self.membership,
-            bounding_radius=float(min(reach.max(), 1.0 - 1e-12)),
+            bounding_radius=float(min(reach.max(), 1.0 - BOUNDARY_TOL)),
             dim=self.centers.shape[1],
         )
 

@@ -16,7 +16,7 @@ import json
 import numpy as np
 from scipy import optimize, spatial
 
-from .klein import BOUNDARY_TOL, KleinPoint, as_coords
+from .klein import BOUNDARY_TOL, IdealPoint, KleinPoint, as_coords
 from .rng import substream
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "lp_membership",
     "affine_rank",
 ]
-
-_ORIENT_TOL = 1e-10
 
 
 class DegenerateHullError(ValueError):
@@ -106,14 +104,15 @@ class Polytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    def contains(self, p, tol: float = 1e-9):
-        """Halfspace membership with `tol` slack; vectorized over rows."""
-        c = np.asarray(as_coords(p) if not isinstance(p, np.ndarray) else p,
-                       dtype=float)
+    def contains(self, p):
+        """Halfspace membership with 1e-9 slack; vectorized over rows."""
+        if isinstance(p, (KleinPoint, IdealPoint)):
+            p = as_coords(p)
+        c = np.asarray(p, dtype=float)
         if c.ndim == 1:
-            return bool(np.all(self.normals @ c <= self.offsets + tol))
+            return bool(np.all(self.normals @ c <= self.offsets + 1e-9))
         slack = c @ self.normals.T - self.offsets
-        return np.all(slack <= tol, axis=1)
+        return np.all(slack <= 1e-9, axis=1)
 
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -133,7 +132,7 @@ class Polytope:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def affine_rank(points: np.ndarray, tol: float = _ORIENT_TOL) -> int:
+def affine_rank(points: np.ndarray) -> int:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     centered = pts - pts.mean(axis=0)
     if centered.shape[0] == 1:
@@ -141,7 +140,7 @@ def affine_rank(points: np.ndarray, tol: float = _ORIENT_TOL) -> int:
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * max(1.0, sv[0])))
+    return int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
@@ -192,6 +191,7 @@ def convex_hull(points, seed: int = 0) -> Polytope:
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
+    # a Qhull hull of N points has up to about N^(n/2) facets
     if not 2 <= n <= 6:
         raise ValueError("hull dimensions supported: 2..6")
     pts = _dedupe(pts)

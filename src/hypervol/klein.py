@@ -50,6 +50,10 @@ __all__ = [
 # is not finitely evaluable there.  Ideal points use the IdealPoint type.
 BOUNDARY_TOL = 1e-12
 
+# Euclidean norm of the near-ideal points placed on unit directions.
+IDEAL_TRUNCATION = 1.0 - 1e-6
+
+# Points, isometries and balls are supported in dimensions 2.._MAX_DIM.
 _MAX_DIM = 16
 
 
@@ -84,19 +88,22 @@ class KleinPoint:
         return hash(self.coords.tobytes())
 
 
+def _check_dimension(n: int) -> None:
+    """Reject a dimension outside the supported range 2.._MAX_DIM."""
+    if not 2 <= n <= _MAX_DIM:
+        raise ValueError(f"dimension must be in 2..{_MAX_DIM}, got {n}")
+
+
 def _check_points(c: np.ndarray) -> None:
     """Reject rows (last axis) that are not finite interior Klein points."""
-    if c.shape[-1] < 2:
-        raise ValueError("dimension must be at least 2")
-    if c.shape[-1] > _MAX_DIM:
-        raise ValueError("dimension too large")
+    _check_dimension(c.shape[-1])
     if not np.isfinite(c).all():
         raise ValueError("coordinates must be finite")
     # a single point takes the plain norm, as KleinPoint always has
     norm = np.linalg.norm(c) if c.ndim == 1 else np.linalg.norm(c, axis=-1)
     if (norm >= 1.0 - BOUNDARY_TOL).any():
         raise ValueError(
-            "point too close to the boundary sphere (norm >= 1 - 1e-12)"
+            f"point too close to the boundary sphere (norm >= 1 - {BOUNDARY_TOL})"
         )
 
 
@@ -107,8 +114,7 @@ class IdealPoint:
 
     def __init__(self, direction):
         d = np.asarray(direction, dtype=float).reshape(-1)
-        if d.size < 2:
-            raise ValueError("dimension must be at least 2")
+        _check_dimension(d.size)
         nrm = float(np.linalg.norm(d))
         if not np.isfinite(nrm) or nrm == 0.0:
             raise ValueError("direction must be a nonzero finite vector")
@@ -285,8 +291,8 @@ def translate_to_origin(p) -> Isometry:
     return translation_to(p).inverse()
 
 
-def random_isometry(n: int, seed: int, radius: float = 0.7) -> Isometry:
-    """Seeded random isometry: rotation followed by a bounded translation."""
+def random_isometry(n: int, seed: int) -> Isometry:
+    """Seeded random isometry: rotation, then a translation to Klein norm < 0.7."""
     rng = substream(seed, 0)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))
@@ -296,7 +302,7 @@ def random_isometry(n: int, seed: int, radius: float = 0.7) -> Isometry:
     rot[1:, 1:] = q
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
-    target = u * radius * rng.uniform() ** (1.0 / n)
+    target = u * 0.7 * rng.uniform() ** (1.0 / n)
     return translation_to(target).compose(Isometry(rot))
 
 
@@ -311,7 +317,7 @@ def unit_sphere_area(k: int) -> float:
 
 
 def sinh_power_integral(m: int, w) -> np.ndarray | float:
-    """integral_0^w sinh(t)^m dt, vectorized over w, for 0 <= m <= 15.
+    """integral_0^w sinh(t)^m dt, vectorized over w, for 0 <= m < _MAX_DIM.
 
     Uses the reduction
         I_m = sinh^(m-1)(w) cosh(w)/m - (m-1)/m I_(m-2)
@@ -322,8 +328,8 @@ def sinh_power_integral(m: int, w) -> np.ndarray | float:
     scalar returns a float through the numpy path, and arrays return
     arrays.
     """
-    if m < 0 or m > 15:
-        raise ValueError("unsupported sinh power")
+    if not 0 <= m < _MAX_DIM:
+        raise ValueError(f"unsupported sinh power {m}: must be in 0..{_MAX_DIM - 1}")
     if isinstance(w, float):
         w = float(w)
         if w < 0:
@@ -379,15 +385,14 @@ def _radial_table(n: int, w_max: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ball_volume(n: int, r: float) -> float:
-    """Volume of a hyperbolic ball of radius r in dimension n (2 <= n <= 8).
+    """Volume of a hyperbolic ball of radius r in dimension n (2 <= n <= _MAX_DIM).
 
     Equals sigma_(n-1) * integral_0^r sinh(t)^(n-1) dt; for n = 2 this is
     2 pi (cosh r - 1).  Evaluated by adaptive quadrature at 1e-10 relative
     tolerance per the accuracy contract (the closed forms serve as test
     oracles, not as the implementation).
     """
-    if not 2 <= n <= 8:
-        raise ValueError("dimension must be in 2..8")
+    _check_dimension(n)
     if r <= 0:
         raise ValueError("radius must be positive")
     val, _ = integrate.quad(

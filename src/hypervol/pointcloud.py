@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .klein import _check_dimension
+
 __all__ = ["load_points", "save_points", "MODELS"]
 
 MODELS = ("klein", "poincare", "hyperboloid")
@@ -27,8 +29,7 @@ def _parse_header(line: str) -> tuple[int, str]:
     model = parts["model"].strip()
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    if n < 2:
-        raise ValueError("dim must be >= 2")
+    _check_dimension(n)
     return n, model
 
 

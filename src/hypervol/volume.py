@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -379,7 +379,8 @@ def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
 def _check_dim(method: str, n: int) -> None:
     if method == "quadrature":
         if n - 1 not in _CHILDREN:
-            raise ValueError("quadrature needs n <= 4; use monte_carlo")
+            raise ValueError("quadrature needs n <= 4 (facet subdivision "
+                             "rules exist up to dimension 3); use monte_carlo")
         return
     want = {"exact_2d": 2, "exact_3d": 3}[method]
     if n != want:

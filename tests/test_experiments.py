@@ -36,6 +36,18 @@ def test_runconfig_roundtrip_and_validation():
     assert lifted.sizes == (4, 8)  # lists from JSON become tuples
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ball_radius", 1.5), ("clusters", 4), ("cluster_radius", 2.5),
+    ("spread", 0.5), ("chain_spacing", 1.25), ("t_start", 0.3),
+    ("t_end", 0.01), ("move_scale", 0.3),
+])
+def test_runconfig_rejects_fixed_settings(key, value):
+    # family parameters are generate_points arguments and the annealing
+    # schedule is fixed, so a config that sets them fails loudly
+    with pytest.raises(ValueError, match="unknown config keys"):
+        RunConfig.from_dict({key: value})
+
+
 def test_derive_seed_distinct_streams():
     seeds = {_derive_seed(0, n, size, rep)
              for n in (2, 3) for size in (8, 16) for rep in range(4)}

@@ -13,6 +13,7 @@ import pytest
 
 from hypervol import (
     DegenerateHullError,
+    KleinPoint,
     Simplex,
     affine_rank,
     apex_triangulation,
@@ -49,9 +50,12 @@ def test_contains_interior_boundary_exterior():
     assert poly.contains([0.2, 0.2])          # on an edge
     assert not poly.contains([0.21, 0.21])
     assert not poly.contains([0.9, 0.0])
+    assert poly.contains(KleinPoint([0.1, 0.1]))
     probes = np.array([[0.0, 0.0], [0.3, 0.3], [0.1, -0.05]])
     got = poly.contains(probes)
     assert got.tolist() == [True, False, True]
+    # a list of rows is rows too, not one flattened point
+    assert poly.contains(probes.tolist()).tolist() == [True, False, True]
 
 
 def test_interior_point_is_interior():

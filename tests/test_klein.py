@@ -246,6 +246,36 @@ def test_ball_volume_small_radius_euclidean():
         assert abs(hv.ball_volume(n, r) / eucl - 1.0) < 1e-2
 
 
+@pytest.mark.parametrize("n", [1, 17])
+def test_one_dimension_limit(n, tmp_path):
+    # points, isometries, balls and point files share the range 2..16
+    path = tmp_path / "cloud.csv"
+    path.write_text(f"dim={n},model=klein\n" + ",".join(["0.0"] * n) + "\n")
+    calls = [
+        lambda: KleinPoint(np.zeros(n)),
+        lambda: IdealPoint(np.ones(n)),
+        lambda: boost_to(np.zeros(n), np.zeros(n)),
+        lambda: hv.UnionOfBalls(np.zeros((1, n)), 0.5),
+        lambda: hv.ball_volume(n, 1.0),
+        lambda: hv.load_points(path),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"dimension must be in 2..16, got {n}"
+    # the radial power of a ball in dimension n is n - 1 <= 15
+    with pytest.raises(ValueError, match="power"):
+        hv.sinh_power_integral(16, 1.0)
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_ball_volume_high_dimensions(n):
+    # below r = 1 at n >= 15 the sinh recurrence itself is off by ~5e-9
+    for r in (1.0, 2.0):
+        radial = hv.unit_sphere_area(n - 1) * hv.sinh_power_integral(n - 1, r)
+        assert_allclose(hv.ball_volume(n, r), radial, rtol=1e-9)
+
+
 def test_ball_boundary_points():
     center = KleinPoint([0.2, -0.1, 0.3])
     pts = hv.ball_boundary_points(center, 0.7, 50, seed=9)
