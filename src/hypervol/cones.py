@@ -43,6 +43,9 @@ from .klein import (
     IDEAL_TRUNCATION,
     IdealPoint,
     KleinPoint,
+    _check_dimension,
+    _row_sum,
+    _row_sumsq,
     as_coords,
     sinh_power_integral,
     unit_sphere_area,
@@ -202,7 +205,7 @@ def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
     c0 = float(xh @ xh) - 1.0
     t_sphere = -b + np.sqrt(b * b - c0)
     y = xh[None, :] + t_sphere[:, None] * delta
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    y /= np.sqrt(_row_sumsq(y))[:, None]
     return y, z, t_far, t_sphere
 
 
@@ -484,10 +487,9 @@ def cone_integral_bound(n: int, phi: float) -> float:
     sin^2 phi times powers of 10, to epsabs 1e-14, epsrel 1e-9).
     Estimates above 1e9 raise SingularIntegralError.
     """
+    _check_dimension(n)
     if not 0 < phi < math.pi / 2:
         raise ValueError("phi must lie in (0, pi/2)")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     s, c = math.sin(phi), math.cos(phi)
     val, _ = _uv_triangle(n, [(0.0, 0.0), (s * s, s * c), (1.0, 0.0)])
     if abs(val) > 1e9:
@@ -497,11 +499,13 @@ def cone_integral_bound(n: int, phi: float) -> float:
 
 def first_summand_closed(n: int, phi: float) -> float:
     """(2/(n-1)) cos^(n-1)(phi), the exact below-the-break majorant piece."""
+    _check_dimension(n)
     return 2.0 / (n - 1) * math.cos(phi) ** (n - 1)
 
 
 def first_summand_quad(n: int, phi: float) -> float:
     """Quadrature of (cot phi)^(n-1) u^((n-3)/2) over [0, sin^2 phi]."""
+    _check_dimension(n)
     s2 = math.sin(phi) ** 2
     cot = 1.0 / math.tan(phi)
 
@@ -521,6 +525,7 @@ def second_summand(n: int, phi: float) -> float:
     no quadrature is needed.  It stays below 1 for every phi > 0 and
     approaches 1/(n-1) as phi -> 0.
     """
+    _check_dimension(n)
     if not 0 < phi < math.pi / 2:
         raise ValueError("phi must lie in (0, pi/2)")
     s, c = math.sin(phi), math.cos(phi)
@@ -644,12 +649,12 @@ def verify_facet_decomposition(
 
     def stats(rng, m):
         pts, w = _dirichlet_draw(rng, verts, m)
-        indic = np.zeros((m, n), dtype=bool)
+        indic = np.zeros((m, n))  # 0/1 per facet cone
         for i in range(n):
             u = dirs[i]
             a = pts @ u
             ortho = pts - np.outer(a, u)
-            b = np.linalg.norm(ortho, axis=1)
+            b = np.sqrt(_row_sumsq(ortho))
             on_axis = b <= 1e-13
             th = np.where(on_axis[:, None], 0.0, ortho) / np.maximum(
                 b[:, None], 1e-300
@@ -660,11 +665,11 @@ def verify_facet_decomposition(
             )
             _, z, _, _ = boundary_rays(poly, u, safe_th)
             za = z @ u
-            zb = np.linalg.norm(z - np.outer(za, u), axis=1)
+            zb = np.sqrt(_row_sumsq(z - np.outer(za, u)))
             inside = _in_plane_tilde_membership(a, b, radii[i], za, zb)
             inside = np.where(on_axis, (a >= -1e-12) & (a <= radii[i] + 1e-12), inside)
             indic[:, i] = inside
-        t_stat = w * (two_n * indic.sum(axis=1) - 1.0)
+        t_stat = w * (two_n * _row_sum(indic) - 1.0)
         return np.concatenate([
             [w.sum(), t_stat.sum(), (t_stat * t_stat).sum()],
             (w[:, None] * indic).sum(axis=0),

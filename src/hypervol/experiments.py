@@ -14,8 +14,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .klein import (IDEAL_TRUNCATION, KleinPoint, _radial_table, dist_matrix,
-                    translation_to)
+from .klein import (IDEAL_TRUNCATION, KleinPoint, _check_dimension,
+                    _radial_table, dist_matrix, translation_to)
 from .hull import DegenerateHullError, convex_hull
 from .rng import _chunk_sums, substream
 from .volume import (MC_CHUNK, _dirichlet_draw, polytope_volume,
@@ -400,6 +400,8 @@ def cmd_cone_table(config: RunConfig):
     failures: list[str] = []
     per_n_max: dict[int, float] = {}
     grid = np.linspace(0.0, 1.0, 10_001)
+    for n in config.cone_dims:
+        _check_dimension(n)  # before the first row, not partway through
     for n in config.cone_dims:
         for phi in config.phis:
             if phi >= PHI_CAP:

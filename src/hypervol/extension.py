@@ -16,6 +16,7 @@ import numpy as np
 from .klein import (
     BOUNDARY_TOL,
     _check_points,
+    _row_sumsq,
     ball_boundary_array,
     ball_volume,
     boost_to,
@@ -95,7 +96,7 @@ class UnionOfBalls:
         centers.setflags(write=False)
         self.centers = centers
         self.radius = float(radius)
-        self._scale = 1.0 / np.sqrt(1.0 - np.sum(centers * centers, axis=1))
+        self._scale = 1.0 / np.sqrt(1.0 - _row_sumsq(centers))
         self._scaled = centers * self._scale[:, None]
 
     def membership(self, points: np.ndarray) -> np.ndarray:
@@ -107,7 +108,7 @@ class UnionOfBalls:
             )
         # (k, m): s_j - p_i.(s_j q_j), reduced along the contiguous m rows
         gap = self._scale[:, None] - self._scaled @ pts.T
-        bound = math.cosh(self.radius) * np.sqrt(1.0 - np.sum(pts * pts, axis=1))
+        bound = math.cosh(self.radius) * np.sqrt(1.0 - _row_sumsq(pts))
         return gap.min(axis=0) <= bound
 
     def region(self) -> Region:

@@ -88,6 +88,35 @@ class KleinPoint:
         return hash(self.coords.tobytes())
 
 
+# numpy adds a row of fewer than 8 entries left to right, from +0.0; from 8
+# on it sums pairwise.  Below 8 the helpers add whole columns in that
+# order: the same bits, without a reduction call per short row.
+_PAIRWISE_FROM = 8
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1) of a float array, bitwise."""
+    if not 0 < x.shape[-1] < _PAIRWISE_FROM:
+        return np.sum(x, axis=-1)
+    total = x[..., 0] + 0.0  # numpy's sum turns a -0.0 start into +0.0
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
+def _row_sumsq(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=-1) of a float array, bitwise.
+
+    np.linalg.norm(x, axis=-1) is np.sqrt of this, bit for bit.
+    """
+    if not 0 < x.shape[-1] < _PAIRWISE_FROM:
+        return np.sum(x * x, axis=-1)
+    total = x[..., 0] * x[..., 0]  # a square is never -0.0
+    for j in range(1, x.shape[-1]):
+        total += x[..., j] * x[..., j]
+    return total
+
+
 def _check_dimension(n: int) -> None:
     """Reject a dimension outside the supported range 2.._MAX_DIM."""
     if not 2 <= n <= _MAX_DIM:
@@ -100,7 +129,7 @@ def _check_points(c: np.ndarray) -> None:
     if not np.isfinite(c).all():
         raise ValueError("coordinates must be finite")
     # a single point takes the plain norm, as KleinPoint always has
-    norm = np.linalg.norm(c) if c.ndim == 1 else np.linalg.norm(c, axis=-1)
+    norm = np.linalg.norm(c) if c.ndim == 1 else np.sqrt(_row_sumsq(c))
     if (norm >= 1.0 - BOUNDARY_TOL).any():
         raise ValueError(
             f"point too close to the boundary sphere (norm >= 1 - {BOUNDARY_TOL})"
@@ -156,8 +185,7 @@ def density_array(pts: np.ndarray) -> np.ndarray:
     """Vectorized density over rows of an (m, n) coordinate array."""
     pts = np.asarray(pts, dtype=float)
     n = pts.shape[-1]
-    n2 = np.sum(pts * pts, axis=-1)
-    n2 = np.minimum(n2, (1.0 - BOUNDARY_TOL) ** 2)
+    n2 = np.minimum(_row_sumsq(pts), (1.0 - BOUNDARY_TOL) ** 2)
     return (1.0 - n2) ** (-(n + 1) / 2.0)
 
 
@@ -182,8 +210,8 @@ def cosh_dist_matrix(P, Q) -> np.ndarray:
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    p2 = 1.0 - np.sum(P * P, axis=1)
-    q2 = 1.0 - np.sum(Q * Q, axis=1)
+    p2 = 1.0 - _row_sumsq(P)
+    q2 = 1.0 - _row_sumsq(Q)
     num = 1.0 - P @ Q.T
     return num / np.sqrt(np.outer(p2, q2))
 
@@ -196,7 +224,7 @@ def dist_matrix(P, Q) -> np.ndarray:
 def _lift(pts: np.ndarray) -> np.ndarray:
     """Klein (m, n) -> hyperboloid (m, n+1), x -> (1, x)/sqrt(1-|x|^2)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    s = 1.0 / np.sqrt(1.0 - np.sum(pts * pts, axis=1))
+    s = 1.0 / np.sqrt(1.0 - _row_sumsq(pts))
     out = np.empty((pts.shape[0], pts.shape[1] + 1))
     out[:, 0] = s
     out[:, 1:] = pts * s[:, None]
@@ -279,10 +307,10 @@ def boost_to(centers, offsets) -> np.ndarray:
     _check_points(c)
     if c.shape[-1] != x.shape[-1]:
         raise ValueError("dimension mismatch")
-    if not np.all(np.sum(x * x, axis=-1) < 1.0):
+    if not np.all(_row_sumsq(x) < 1.0):
         raise ValueError("offsets must lie in the open unit ball")
-    s = np.sqrt(1.0 - np.sum(c * c, axis=-1, keepdims=True))
-    cx = np.sum(c * x, axis=-1, keepdims=True)
+    s = np.sqrt(1.0 - _row_sumsq(c))[..., None]
+    cx = _row_sum(c * x)[..., None]
     return (s * x + (1.0 + cx / (1.0 + s)) * c) / (1.0 + cx)
 
 
@@ -419,7 +447,7 @@ def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:
     c = np.asarray(centers, dtype=float)
     rng = substream(seed, 0)
     dirs = rng.standard_normal((count, c.shape[-1]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.sqrt(_row_sumsq(dirs))[:, None]
     moved = boost_to(c[..., None, :], math.tanh(r) * dirs)
     _check_points(moved)
     return moved

@@ -44,6 +44,8 @@ from scipy import special
 from .klein import (
     BOUNDARY_TOL,
     _radial_table,
+    _row_sum,
+    _row_sumsq,
     as_coords,
     density_array,
     sinh_power_integral,
@@ -262,7 +264,7 @@ def _dirichlet_draw(rng, verts: np.ndarray, m: int):
     Dirichlet(1,...,1) weights via normalized exponentials.
     """
     e = rng.exponential(size=(m, verts.shape[0]))
-    pts = (e / e.sum(axis=1, keepdims=True)) @ verts
+    pts = (e / _row_sum(e)[:, None]) @ verts
     return pts, density_array(pts)
 
 
@@ -543,7 +545,7 @@ def region_volume_mc(
 
     def stats(rng, m):
         dirs = rng.standard_normal((m, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= np.sqrt(_row_sumsq(dirs))[:, None]
         if near_boundary:
             w, weight = draw(rng, m)
             pts = np.tanh(w)[:, None] * dirs

@@ -45,6 +45,7 @@ from hypervol import (
     unit_sphere_area,
     verify_facet_decomposition,
 )
+from hypervol import experiments
 
 R = 0.95
 SQUARE = np.array([[R, 0.0], [0.0, R], [-R, 0.0], [0.0, -R]])
@@ -278,6 +279,27 @@ def test_bound_argument_validation():
         cone_integral_bound(3, 0.0)
     with pytest.raises(ValueError):
         cone_integral_bound(3, math.pi / 2)
+
+
+@pytest.mark.parametrize("n", [1, 17])
+def test_bounding_chain_dimension_limit(n, monkeypatch):
+    # the bounding chain shares the one dimension limit: at n = 17 the
+    # second summand's sinh power would be 16, and n = 1 divides by zero
+    message = f"dimension must be in 2..16, got {n}"
+    for f in (cone_integral_bound, first_summand_closed, first_summand_quad,
+              second_summand, majorant):
+        with pytest.raises(ValueError) as exc:
+            f(n, 0.05)
+        assert str(exc.value) == message
+    # a cone table fails before its first row, not partway through
+    calls = []
+    monkeypatch.setattr(experiments, "cone_integral_bound",
+                        lambda *a: calls.append(a))
+    cfg = RunConfig(command="cone-table", cone_dims=(3, n), phis=(0.05,))
+    with pytest.raises(ValueError) as exc:
+        experiments.cmd_cone_table(cfg)
+    assert str(exc.value) == message
+    assert calls == []
 
 
 def test_t_function_identities():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -10,6 +11,8 @@ import hypervol as hv
 from hypervol.klein import (
     KleinPoint,
     IdealPoint,
+    _row_sum,
+    _row_sumsq,
     as_coords,
     boost_to,
     translation_to,
@@ -299,3 +302,35 @@ def test_as_coords_accepts_wrappers():
     p = KleinPoint([0.1, 0.2])
     assert np.array_equal(as_coords(p), p.coords)
     assert np.array_equal(as_coords([0.1, 0.2]), np.array([0.1, 0.2]))
+
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+_ENTRIES = st.one_of(_MAGNITUDES, _MAGNITUDES.map(lambda x: -x),
+                     st.sampled_from([0.0, -0.0]))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lead=st.sampled_from([(), (1,), (5,), (3, 4)]),
+       width=st.integers(1, 12), data=st.data())
+def test_row_sums_match_numpy_bitwise(lead, width, data):
+    # below 8 columns the helpers add columns; from 8 on they are np.sum
+    x = data.draw(hnp.arrays(float, lead + (width,), elements=_ENTRIES))
+    with np.errstate(over="ignore", under="ignore"):
+        assert _same_bits(_row_sum(x), np.sum(x, axis=-1))
+        assert _same_bits(_row_sumsq(x), np.sum(x * x, axis=-1))
+        if x.ndim > 1:
+            assert _same_bits(np.sqrt(_row_sumsq(x)), np.linalg.norm(x, axis=-1))
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_sum_of_negative_zeros(width):
+    # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
+    x = np.full((2, width), -0.0)
+    assert _same_bits(_row_sum(x), np.sum(x, axis=-1))
+    assert _same_bits(_row_sum(x[0]), np.sum(x[0]))
