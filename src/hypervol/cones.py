@@ -52,7 +52,7 @@ from .klein import (
 )
 from .hull import Polytope, Simplex, convex_hull
 from .rng import _chunk_sums
-from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _budget, _dirichlet_draw
+from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _dirichlet_draw
 
 __all__ = [
     "PHI_CAP",
@@ -314,13 +314,14 @@ def _chord_geometry(section: ConeSection) -> tuple[float, float]:
     return h, math.atan2(fb, fa)
 
 
-def _section_integral_polar(section: ConeSection, n: int, limit: int = 400):
+def _section_integral_polar(section: ConeSection, n: int):
     """integral over the section of d(q, axis)^(n-2) v_n dA, polar chart.
 
     Coordinates (rho, alpha) around the origin, alpha measured from the
     apex ray; the radial part is exact (sinh-power integral) and alpha is
     integrated with the substitution alpha = t^2, which removes the
-    endpoint singularity the ideal apex creates.
+    endpoint singularity the ideal apex creates, in one QUADPACK call of
+    at most 400 subintervals.
     """
     h, phi_chord = _chord_geometry(section)
     phi_sec = section.origin_angle
@@ -342,7 +343,7 @@ def _section_integral_polar(section: ConeSection, n: int, limit: int = 400):
         alpha_c = max((1.0 - section.apex_radius) / max(abs(math.tan(phi_chord)), 1e-6), 1e-14)
         pts = [math.sqrt(min(alpha_c * k, phi_sec * 0.9)) for k in (1.0, 5.0, 25.0)]
     val, err = _quad(
-        integrand, 0.0, t_max, points=pts, limit=limit, epsabs=1e-14, epsrel=1e-9
+        integrand, 0.0, t_max, points=pts, limit=400, epsabs=1e-14, epsrel=1e-9
     )
     return val, err, evals
 
@@ -416,18 +417,15 @@ def section_integral(section: ConeSection, n: int, chart: str = "polar"):
     raise ValueError(f"unknown chart {chart!r}")
 
 
-def cone_volume(sections: list[ConeSection], n: int, budget=None) -> VolumeEstimate:
+def cone_volume(sections: list[ConeSection], n: int) -> VolumeEstimate:
     """Assembled cone volume Z_n * mean over grid sections.
 
     Z_n is the unit (n-2)-sphere area; for n = 2 it equals 2 and the mean
     over the two sections reduces to the plain sum of the two triangle
     areas, so no special casing is needed.
 
-    `budget` (None for the default, else at least 1) caps the QUADPACK
-    subintervals per section at budget // (60 * sections), held to
-    50..400; it does not cap the evaluation count, which the estimate
-    reports.  achieved_rel_tol is QUADPACK's summed error estimate over
-    the summed section integrals, and low_confidence is set past 1e-4.
+    achieved_rel_tol is QUADPACK's summed error estimate over the summed
+    section integrals, and low_confidence is set past 1e-4.
     """
     if not sections:
         raise ValueError("need at least one section")
@@ -435,13 +433,11 @@ def cone_volume(sections: list[ConeSection], n: int, budget=None) -> VolumeEstim
     for s in sections[1:]:
         if np.linalg.norm(s.apex.direction - x0) > 1e-9:
             raise ValueError("sections must share an apex")
-    per_limit = 60 * len(sections)
-    limit = max(50, min(400, _budget(budget, 400 * per_limit) // per_limit))
     vals = []
     err = 0.0
     evals = 0
     for s in sections:
-        v, e, k = _section_integral_polar(s, n, limit=limit)
+        v, e, k = _section_integral_polar(s, n)
         vals.append(v)
         err += e
         evals += k
@@ -738,20 +734,20 @@ def densify_net(points: np.ndarray, grid: int = 32) -> np.ndarray:
     return pts
 
 
-def cone_report(poly: Polytope, x, grid: int, budget=None) -> dict:
+def cone_report(poly: Polytope, x, grid: int) -> dict:
     """JSON-ready report for one vertex cone: sections, volume, bound."""
     n = poly.dim
     secs = cone_sections(poly, x, grid, tilde=False)
-    est = cone_volume(secs, n, budget=budget)
+    est = cone_volume(secs, n)
     z_n = unit_sphere_area(n - 2)
     bound = z_n * float(np.mean([majorant(n, s.origin_angle) for s in secs]))
     deficit = 0.0
     if any(s.apex_radius < 1.0 for s in secs):
-        # the same sections with an ideal apex, under the same budget and so
-        # the same subinterval limit: each truncated section integral is
-        # computed once, for the volume, and paired with its ideal one here
+        # the same sections with an ideal apex: each truncated section
+        # integral is computed once, for the volume, and paired with its
+        # ideal one here
         ideal = [replace(s, apex_radius=1.0) for s in secs]
-        deficit = cone_volume(ideal, n, budget=budget).value - est.value
+        deficit = cone_volume(ideal, n).value - est.value
     return {
         "apex": [float(v) for v in as_coords(x)],
         "grid": int(len(secs)),

@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .klein import (IDEAL_TRUNCATION, KleinPoint, _check_dimension,
-                    _radial_table, dist_matrix, translation_to)
+                    _radial_table, _uniform_directions, dist_matrix,
+                    translation_to)
 from .hull import DegenerateHullError, convex_hull
 from .rng import _chunk_sums, substream
 from .volume import (MC_CHUNK, _dirichlet_draw, polytope_volume,
@@ -132,9 +133,7 @@ def _uniform_ball(rng, n: int, count: int, radius: float) -> np.ndarray:
     xs, cdf = _radial_table(n, radius)
     u = rng.uniform(size=count) * cdf[-1]
     w = np.interp(u, cdf, xs)
-    g = rng.standard_normal((count, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return np.tanh(w)[:, None] * g
+    return np.tanh(w)[:, None] * _uniform_directions(rng, count, n)
 
 
 def generate_points(
@@ -153,9 +152,7 @@ def generate_points(
     """
     rng = substream(seed)
     if family == "uniform-ideal":
-        g = rng.standard_normal((count, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return IDEAL_TRUNCATION * g
+        return IDEAL_TRUNCATION * _uniform_directions(rng, count, n)
     if family == "uniform-ball":
         return _uniform_ball(rng, n, count, radius)
     if family == "clustered":
@@ -490,9 +487,7 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
     flat = np.vstack(pts)
     extra = count - flat.shape[0]
     if extra > 0:
-        rng = substream(seed)
-        g = rng.standard_normal((extra, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = _uniform_directions(substream(seed), extra, n)
         flat = np.vstack([flat, IDEAL_TRUNCATION * g])
     return flat, total
 

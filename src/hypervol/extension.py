@@ -17,6 +17,7 @@ from .klein import (
     BOUNDARY_TOL,
     _check_points,
     _row_sumsq,
+    _uniform_directions,
     ball_boundary_array,
     ball_volume,
     boost_to,
@@ -130,6 +131,7 @@ def greedy_packing(points: np.ndarray, epsilon: float, seed: int = 0) -> Packing
     result is maximal by construction.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_points(pts)
     order = substream(seed).permutation(pts.shape[0])
     kept: list[int] = []
     for idx in order:
@@ -171,9 +173,7 @@ def sandwich_check(
     m = int(probes)
     base = pack.centers[rng.integers(0, len(pack), size=m)]
     # hyperbolic-normal jitter: direction times a radius up to 2.5 eps
-    n = pts.shape[1]
-    g = rng.standard_normal((m, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    g = _uniform_directions(rng, m, pts.shape[1])
     w = 2.5 * eps * rng.random(m)
     # move distance w from each base point along g with a boost
     probes_pts = boost_to(base, np.tanh(w)[:, None] * g)

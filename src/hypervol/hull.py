@@ -12,11 +12,12 @@ Halfspaces use the convention normal . x <= offset with outward normals.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from scipy import optimize, spatial
 
-from .klein import BOUNDARY_TOL, IdealPoint, KleinPoint, as_coords
+from .klein import BOUNDARY_TOL, IdealPoint, KleinPoint, _check_points, as_coords
 from .rng import substream
 
 __all__ = [
@@ -68,17 +69,10 @@ class Simplex:
         e = self.vertices[1:] - self.vertices[0]
         gram = e @ e.T
         det = float(np.linalg.det(gram))
-        return float(np.sqrt(max(det, 0.0))) / _factorial(self.k)
+        return float(np.sqrt(max(det, 0.0))) / math.factorial(self.k)
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-
-def _factorial(k: int) -> float:
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 class Polytope:
@@ -179,12 +173,13 @@ def simplicial_perturbation(points, magnitude: float = 1e-9, seed: int = 0) -> n
     return moved
 
 
-def convex_hull(points, seed: int = 0) -> Polytope:
+def convex_hull(points) -> Polytope:
     """Euclidean (= hyperbolic) convex hull of Klein points, 2 <= n <= 6.
 
+    Rows must be interior Klein points (`klein._check_points`).
     Degenerate input raises DegenerateHullError with the affine rank.
     Qhull failures on exactly degenerate-in-position inputs are retried
-    once after a seeded 1e-9 perturbation.
+    once after a 1e-9 perturbation with seed 0.
     """
     if isinstance(points, (list, tuple)):
         pts = np.array([as_coords(p) for p in points], dtype=float)
@@ -194,6 +189,7 @@ def convex_hull(points, seed: int = 0) -> Polytope:
     # a Qhull hull of N points has up to about N^(n/2) facets
     if not 2 <= n <= 6:
         raise ValueError("hull dimensions supported: 2..6")
+    _check_points(pts)
     pts = _dedupe(pts)
     if pts.shape[0] < n + 1:
         raise DegenerateHullError(affine_rank(pts), n)
@@ -204,7 +200,7 @@ def convex_hull(points, seed: int = 0) -> Polytope:
         qh = spatial.ConvexHull(pts, qhull_options="Qt")
     except spatial.QhullError:
         qh = spatial.ConvexHull(
-            simplicial_perturbation(pts, 1e-9, seed), qhull_options="Qt"
+            simplicial_perturbation(pts, 1e-9), qhull_options="Qt"
         )
         pts = qh.points
     order = np.sort(np.asarray(qh.vertices))

@@ -117,6 +117,12 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _uniform_directions(rng, count: int, n: int) -> np.ndarray:
+    """`count` uniform unit vectors in R^n: normalized standard normals."""
+    g = rng.standard_normal((count, n))
+    return g / np.sqrt(_row_sumsq(g))[:, None]
+
+
 def _check_dimension(n: int) -> None:
     """Reject a dimension outside the supported range 2.._MAX_DIM."""
     if not 2 <= n <= _MAX_DIM:
@@ -124,7 +130,10 @@ def _check_dimension(n: int) -> None:
 
 
 def _check_points(c: np.ndarray) -> None:
-    """Reject rows (last axis) that are not finite interior Klein points."""
+    """Reject rows (last axis) that are not finite interior Klein points.
+
+    The library's one test of incoming coordinates (README lists callers).
+    """
     _check_dimension(c.shape[-1])
     if not np.isfinite(c).all():
         raise ValueError("coordinates must be finite")
@@ -167,18 +176,11 @@ def as_coords(p) -> np.ndarray:
     return np.asarray(p, dtype=float).reshape(-1)
 
 
-def _check_inside(c: np.ndarray) -> np.ndarray:
-    n2 = np.sum(np.asarray(c, dtype=float) ** 2, axis=-1)
-    if np.any(n2 >= (1.0 - BOUNDARY_TOL) ** 2):
-        raise ValueError("point outside the open model ball")
-    return n2
-
-
 def density(p) -> float:
     """Volume density v_n = (1 - |p|^2)^(-(n+1)/2) at a Klein point."""
     c = as_coords(p)
-    n2 = _check_inside(c)
-    return float((1.0 - n2) ** (-(c.size + 1) / 2.0))
+    _check_points(c)
+    return float((1.0 - _row_sumsq(c)) ** (-(c.size + 1) / 2.0))
 
 
 def density_array(pts: np.ndarray) -> np.ndarray:
@@ -195,8 +197,9 @@ def dist(p, q) -> float:
     b = as_coords(q)
     if a.size != b.size:
         raise ValueError("dimension mismatch")
-    na = _check_inside(a)
-    nb = _check_inside(b)
+    _check_points(a)
+    _check_points(b)
+    na, nb = _row_sumsq(a), _row_sumsq(b)
     arg = (1.0 - float(a @ b)) / math.sqrt((1.0 - na) * (1.0 - nb))
     return math.acosh(max(arg, 1.0))
 
@@ -274,7 +277,7 @@ class Isometry:
 def translation_to(p) -> Isometry:
     """The hyperbolic translation (Lorentz boost) taking the origin to p."""
     c = as_coords(p)
-    _check_inside(c)
+    _check_points(c)
     n = c.size
     x = _lift(c)[0]
     x0, xs = x[0], x[1:]
@@ -445,9 +448,7 @@ def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     c = np.asarray(centers, dtype=float)
-    rng = substream(seed, 0)
-    dirs = rng.standard_normal((count, c.shape[-1]))
-    dirs /= np.sqrt(_row_sumsq(dirs))[:, None]
+    dirs = _uniform_directions(substream(seed, 0), count, c.shape[-1])
     moved = boost_to(c[..., None, :], math.tanh(r) * dirs)
     _check_points(moved)
     return moved

@@ -3,7 +3,9 @@
 Format: a header line `dim=<n>,model=<klein|poincare|hyperboloid>`, then
 one point per row with n comma-separated floats.  Poincare rows p convert
 to Klein via x = 2p/(1+|p|^2); hyperboloid rows store the spatial part s
-of (s0, s) and convert via x = s/sqrt(1+|s|^2).  Floats are written with
+of (s0, s) and convert via x = s/sqrt(1+|s|^2).  Klein rows, converted or
+not, must pass `klein._check_points` on load and on save; near-ideal
+points belong at norm `klein.IDEAL_TRUNCATION`.  Floats are written with
 repr, so a Klein-model load/save round trip is byte-stable (converted
 models round-trip values to the last ulp, not bytes).
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .klein import _check_dimension
+from .klein import _check_dimension, _check_points
 
 __all__ = ["load_points", "save_points", "MODELS"]
 
@@ -48,12 +50,13 @@ def load_points(path) -> np.ndarray:
                 raise ValueError(f"line {lineno}: expected {n} columns")
             rows.append(vals)
     pts = np.asarray(rows, dtype=float).reshape(-1, n)
-    if model == "klein":
-        return pts
     if model == "poincare":
-        return 2.0 * pts / (1.0 + np.sum(pts * pts, axis=1, keepdims=True))
-    # hyperboloid: rows are spatial parts, time part is implied
-    return pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1, keepdims=True))
+        pts = 2.0 * pts / (1.0 + np.sum(pts * pts, axis=1, keepdims=True))
+    elif model == "hyperboloid":
+        # rows are spatial parts, time part is implied
+        pts = pts / np.sqrt(1.0 + np.sum(pts * pts, axis=1, keepdims=True))
+    _check_points(pts)
+    return pts
 
 
 def save_points(path, pts: np.ndarray, model: str = "klein") -> None:
@@ -62,6 +65,7 @@ def save_points(path, pts: np.ndarray, model: str = "klein") -> None:
     n = pts.shape[1]
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    _check_points(pts)
     out = pts
     if model == "poincare":
         s = 1.0 + np.sqrt(1.0 - np.sum(pts * pts, axis=1, keepdims=True))

@@ -43,9 +43,10 @@ from scipy import special
 
 from .klein import (
     BOUNDARY_TOL,
+    _check_points,
     _radial_table,
     _row_sum,
-    _row_sumsq,
+    _uniform_directions,
     as_coords,
     density_array,
     sinh_power_integral,
@@ -83,7 +84,8 @@ class VolumeEstimate:
     achieved_rel_tol: float | None = None
 
     def __post_init__(self):
-        if self.value < 0 or self.std_error < 0:
+        # NaN fails every comparison, so `not >=` rejects it too
+        if not (self.value >= 0 and self.std_error >= 0):
             raise ValueError("value and std_error must be nonnegative")
 
     def to_json_dict(self) -> dict:
@@ -249,15 +251,6 @@ def _budget(budget, default: int) -> int:
     return int(budget)
 
 
-def _simplex_vertices(s) -> np.ndarray:
-    v = s.vertices if isinstance(s, Simplex) else np.atleast_2d(
-        np.asarray(s, dtype=float)
-    )
-    if np.any(np.linalg.norm(v, axis=1) >= 1.0 - BOUNDARY_TOL):
-        raise ValueError("simplex vertices must lie strictly inside the ball")
-    return v
-
-
 def _dirichlet_draw(rng, verts: np.ndarray, m: int):
     """m points uniform on the simplex `verts`, with their densities.
 
@@ -411,7 +404,10 @@ def simplex_volume(
     The exact routes ignore `budget`; the others raise ValueError for a
     budget below 1, and read None as the default.
     """
-    verts = _simplex_vertices(s)
+    verts = s.vertices if isinstance(s, Simplex) else np.atleast_2d(
+        np.asarray(s, dtype=float)
+    )
+    _check_points(verts)
     n = verts.shape[1]
     if verts.shape[0] != n + 1:
         raise ValueError("simplex must be full-dimensional (n+1 vertices)")
@@ -544,8 +540,7 @@ def region_volume_mc(
         )
 
     def stats(rng, m):
-        dirs = rng.standard_normal((m, n))
-        dirs /= np.sqrt(_row_sumsq(dirs))[:, None]
+        dirs = _uniform_directions(rng, m, n)
         if near_boundary:
             w, weight = draw(rng, m)
             pts = np.tanh(w)[:, None] * dirs

@@ -222,16 +222,6 @@ def test_cone_volume_equals_triangle_areas_2d():
     assert est.method == "quadrature"
 
 
-@pytest.mark.parametrize("budget", [0, -5])
-def test_cone_budget_below_one_raises(budget):
-    poly = convex_hull(PENTAGON)
-    secs = cone_sections(poly, poly.vertices[0], 16)
-    with pytest.raises(ValueError, match="budget"):
-        cone_volume(secs, 2, budget=budget)
-    with pytest.raises(ValueError, match="budget"):
-        cone_report(poly, poly.vertices[0], 16, budget=budget)
-
-
 def test_cone_volume_requires_common_apex():
     poly = convex_hull(SQUARE)
     a = cone_sections(poly, np.array([1.0, 0.0]), 16)
@@ -515,12 +505,11 @@ def test_cone_report_structure():
     assert isinstance(rep["volume"]["low_confidence"], bool)
 
 
-@pytest.mark.parametrize("budget", [None, 20_000])
 @pytest.mark.parametrize("pts, grid", [(PENTAGON, 16), (OCTAHEDRON, 8)])
-def test_cone_report_deficit_matches_section_integrals(pts, grid, budget):
+def test_cone_report_deficit_matches_section_integrals(pts, grid):
     poly = convex_hull(pts)
     n, x = poly.dim, poly.vertices[0]
-    rep = cone_report(poly, x, grid, budget=budget)
+    rep = cone_report(poly, x, grid)
     secs = cone_sections(poly, x, grid)
     assert all(s.apex_radius < 1.0 for s in secs)
     gaps = [section_integral(replace(s, apex_radius=1.0), n)[0]

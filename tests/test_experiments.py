@@ -300,3 +300,20 @@ def test_cli_hull_volume_json(tmp_path, capsys):
             assert tol is None
         else:
             assert (tol > 1e-4) is flagged
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_hull_volume_rejects_row_outside_ball(tmp_path, n):
+    rows = generate_points("uniform-ball", n, 12, seed=6).tolist()
+    rows.append([1.5] + [0.0] * (n - 1))
+    pts_path = tmp_path / "cloud.csv"
+    pts_path.write_text(f"dim={n},model=klein\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in rows))
+    cfg_path = tmp_path / "hv.json"
+    cfg_path.write_text(json.dumps({"points_path": str(pts_path)}),
+                        encoding="utf-8")
+    out_path = tmp_path / "hv.out.json"
+    with pytest.raises(ValueError, match="boundary sphere"):
+        cli.main(["hull-volume", "--config", str(cfg_path),
+                  "--out", str(out_path)])
+    assert not out_path.exists()

@@ -261,6 +261,11 @@ def test_one_dimension_limit(n, tmp_path):
         lambda: hv.UnionOfBalls(np.zeros((1, n)), 0.5),
         lambda: hv.ball_volume(n, 1.0),
         lambda: hv.load_points(path),
+        lambda: hv.density(np.zeros(n)),
+        lambda: hv.dist(np.zeros(n), np.zeros(n)),
+        lambda: translation_to(np.zeros(n)),
+        lambda: hv.simplex_volume(np.zeros((n + 1, n)), "monte_carlo"),
+        lambda: hv.greedy_packing(np.zeros((1, n)), 0.5),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:
@@ -269,6 +274,52 @@ def test_one_dimension_limit(n, tmp_path):
     # the radial power of a ball in dimension n is n - 1 <= 15
     with pytest.raises(ValueError, match="power"):
         hv.sinh_power_integral(16, 1.0)
+
+
+_BAD_ROWS = {
+    "nan": ([float("nan"), 0.0], "coordinates must be finite"),
+    "norm1.5": ([1.5, 0.0],
+                "point too close to the boundary sphere (norm >= 1 - 1e-12)"),
+}
+_GOOD_ROWS = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]
+
+
+def _write_klein_file(path, rows):
+    path.write_text("dim=2,model=klein\n"
+                    + "".join(",".join(repr(float(v)) for v in r) + "\n"
+                              for r in rows))
+    return path
+
+
+# every entry point that takes coordinates from a caller, fed the bad row
+# (beside good ones where it takes several rows)
+_ENTRY_POINTS = {
+    "KleinPoint": lambda bad, tmp: KleinPoint(bad),
+    "density": lambda bad, tmp: hv.density(bad),
+    "dist": lambda bad, tmp: hv.dist(_GOOD_ROWS[1], bad),
+    "translation_to": lambda bad, tmp: translation_to(bad),
+    "boost_to": lambda bad, tmp: boost_to(bad, np.zeros(2)),
+    "UnionOfBalls": lambda bad, tmp: hv.UnionOfBalls(_GOOD_ROWS[:2] + [bad], 0.5),
+    "ball_boundary_array": lambda bad, tmp: hv.ball_boundary_array(bad, 0.5, 4, 0),
+    "simplex_volume": lambda bad, tmp: hv.simplex_volume(_GOOD_ROWS[:2] + [bad]),
+    "convex_hull": lambda bad, tmp: hv.convex_hull(_GOOD_ROWS + [bad]),
+    "greedy_packing": lambda bad, tmp: hv.greedy_packing(_GOOD_ROWS + [bad], 0.5),
+    "load_points": lambda bad, tmp: hv.load_points(
+        _write_klein_file(tmp / "cloud.csv", _GOOD_ROWS + [bad])),
+    "save_points": lambda bad, tmp: hv.save_points(
+        tmp / "cloud.csv", np.array(_GOOD_ROWS + [bad]), model="poincare"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ROWS))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_one_interior_point_check(entry, bad, tmp_path):
+    row, message = _BAD_ROWS[bad]
+    with pytest.raises(ValueError) as exc:
+        _ENTRY_POINTS[entry](np.array(row), tmp_path)
+    assert str(exc.value) == message
+    if entry == "save_points":
+        assert not (tmp_path / "cloud.csv").exists()
 
 
 @pytest.mark.parametrize("n", range(9, 17))

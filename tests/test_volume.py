@@ -196,6 +196,12 @@ def test_volume_estimate_validation_and_json():
         Region(membership=None, bounding_radius=1.5, dim=2)
 
 
+@pytest.mark.parametrize("value, std_error", [(math.nan, 0.0), (1.0, math.nan)])
+def test_volume_estimate_rejects_nan(value, std_error):
+    with pytest.raises(ValueError, match="nonnegative"):
+        VolumeEstimate(value, std_error, 1, "monte_carlo")
+
+
 def test_quadrature_reports_achieved_tolerance():
     # default target is 1e-4 relative to the whole; the summed bound stays near it
     est = simplex_volume(Simplex(TRI), budget=60_000)
