@@ -162,6 +162,26 @@ def _match_vertex(poly: Polytope, x_dir: np.ndarray) -> np.ndarray:
         raise ValueError("no hull vertex lies in the apex direction")
     return poly.vertices[idx]
 
+
+def _active_facets(poly: Polytope, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xh, slack, active) at the hull vertex xh in direction x.
+
+    slack holds every facet's offset minus its normal . xh, and active marks
+    the facets whose plane passes through xh.  Raises ValueError unless the
+    polytope holds the origin and has a vertex in direction x.
+    """
+    x_dir = as_coords(x)
+    x_dir = x_dir / np.linalg.norm(x_dir)
+    if not poly.contains(np.zeros(poly.dim)):
+        raise ValueError("polytope must contain the origin")
+    xh = _match_vertex(poly, x_dir)
+    slack = poly.offsets - poly.normals @ xh
+    active = slack <= 1e-9 * (1.0 + np.abs(poly.offsets))
+    if not np.any(active):
+        raise ValueError("direction does not match a polytope vertex")
+    return xh, slack, active
+
+
 def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
     """Vectorized boundary-edge data at the vertex in direction x.
 
@@ -171,18 +191,10 @@ def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
     edge.  Returns (y, z, t_far, t_sphere): y rows are unit vectors (second
     sphere intersections), z rows the far endpoints inside the polytope.
     """
-    x_dir = as_coords(x)
-    x_dir = x_dir / np.linalg.norm(x_dir)
-    if not poly.contains(np.zeros(poly.dim)):
-        raise ValueError("polytope must contain the origin")
-    xh = _match_vertex(poly, x_dir)
+    xh, slack, active = _active_facets(poly, x)
     u = xh / np.linalg.norm(xh)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    normals, offsets = poly.normals, poly.offsets
-    slack = offsets - normals @ xh
-    active = slack <= 1e-9 * (1.0 + np.abs(offsets))
-    if not np.any(active):
-        raise ValueError("direction does not match a polytope vertex")
+    normals = poly.normals
     a_act = normals[active] @ u                       # all positive
     b_act = normals[active] @ thetas.T                # (k, m)
     psi = np.arctan2(a_act[:, None], b_act)           # first exit angle per facet
@@ -597,19 +609,45 @@ def lemma1_det(facet: np.ndarray, i: int) -> float:
     return float(np.linalg.det(lemma1_matrix(facet, i)))
 
 
-def _in_plane_tilde_membership(a, b, xa, za, zb):
-    """Is the in-plane point (a, b) inside conv((xa,0), midpoint, (0,0))?
+def _tilde_cone_inverses(poly: Polytope, x) -> np.ndarray:
+    """The cone C~_x as a union of simplices, by their inverse vertex matrices.
 
-    The midpoint is ((xa+za)/2, zb/2), halfway along the edge toward the
-    in-hull endpoint (za, zb).
+    For a simplicial hull, C~_x is the union, over the facets T whose plane
+    passes through the vertex x, of the n-simplices conv(0, (x + T)/2).  In
+    each section plane the grazing ray from x lies in the argmin active
+    facet and leaves it through that facet's ridge opposite x, so the
+    section triangle conv(0, x, (x + z)/2) lies in that facet's simplex;
+    conversely each point of a simplex lies in its own section's triangle.
+    A facet coplanar with a face at x that does not contain x adds its
+    simplex by the same formula, which keeps triangulated faces whole.
+
+    Returns the (n, k n) matrix [V_1^-1 ... V_k^-1] of the k active facets,
+    V_j holding the simplex's vertices other than the origin as rows, so
+    that p @ V_j^-1 are p's barycentric weights of those vertices.
     """
-    tol = 1e-10
-    ma, mb = (xa + za) / 2.0, zb / 2.0
-    inside = b >= -tol
-    # side of the line origin -> midpoint (apex side)
-    inside &= ma * b - mb * a <= tol
-    # side of the edge line apex -> midpoint (origin side)
-    inside &= (ma - xa) * b - mb * (a - xa) >= -tol
+    xh, _, active = _active_facets(poly, x)
+    return np.hstack([
+        np.linalg.inv((xh[None, :] + poly.vertices[list(poly.facets[k])]) / 2.0)
+        for k in np.flatnonzero(active)
+    ])
+
+
+def _in_tilde_cone(pts: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Rows of pts inside the union of simplices that `inv` holds.
+
+    A row is inside a simplex when its barycentric weights are all
+    >= -1e-10 and sum to at most 1 + 1e-10 (the origin takes the rest).
+    The product is taken transposed, so each weight is one contiguous row
+    and the test adds and compares whole rows, not short ones.
+    """
+    n = pts.shape[1]
+    lam = inv.T @ pts.T                               # (k n, m), rows contiguous
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    for s in range(0, lam.shape[0], n):
+        ok = _row_sum(lam[s:s + n].T) <= 1.0 + 1e-10
+        for j in range(s, s + n):
+            ok &= lam[j] >= -1e-10
+        inside |= ok
     return inside
 
 
@@ -621,7 +659,9 @@ def verify_facet_decomposition(
     D must be the cone conv(0, F) over a facet F of poly, origin first.
     All volumes share one Dirichlet sample of D, so the inequality is
     tested on correlated estimates and the margin is reported in standard
-    errors of the per-sample statistic w (2^n sum_i 1_i - 1).
+    errors of the per-sample statistic w (2^n sum_i 1_i - 1).  Each
+    indicator 1_i tests the sample against C~_(x_i) as a union of simplices
+    (`_tilde_cone_inverses`), built before the first sample is drawn.
     """
     verts = d_simplex.vertices
     n = verts.shape[1]
@@ -638,33 +678,14 @@ def verify_facet_decomposition(
             "bound": float(2 ** n), "margin_sigmas": math.inf,
             "passed": True, "low_confidence": True,
         }
-    dirs = [facet[i] / np.linalg.norm(facet[i]) for i in range(n)]
-    radii = [float(np.linalg.norm(facet[i])) for i in range(n)]
-
+    invs = [_tilde_cone_inverses(poly, facet[i]) for i in range(n)]
     two_n = float(2 ** n)
 
     def stats(rng, m):
         pts, w = _dirichlet_draw(rng, verts, m)
         indic = np.zeros((m, n))  # 0/1 per facet cone
         for i in range(n):
-            u = dirs[i]
-            a = pts @ u
-            ortho = pts - np.outer(a, u)
-            b = np.sqrt(_row_sumsq(ortho))
-            on_axis = b <= 1e-13
-            th = np.where(on_axis[:, None], 0.0, ortho) / np.maximum(
-                b[:, None], 1e-300
-            )
-            # on-axis samples are inside whenever 0 <= a <= |x_i|
-            safe_th = np.where(
-                on_axis[:, None], _tangent_basis(u)[0][None, :], th
-            )
-            _, z, _, _ = boundary_rays(poly, u, safe_th)
-            za = z @ u
-            zb = np.sqrt(_row_sumsq(z - np.outer(za, u)))
-            inside = _in_plane_tilde_membership(a, b, radii[i], za, zb)
-            inside = np.where(on_axis, (a >= -1e-12) & (a <= radii[i] + 1e-12), inside)
-            indic[:, i] = inside
+            indic[:, i] = _in_tilde_cone(pts, invs[i])
         t_stat = w * (two_n * _row_sum(indic) - 1.0)
         return np.concatenate([
             [w.sum(), t_stat.sum(), (t_stat * t_stat).sum()],

@@ -129,9 +129,11 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 2..{_MAX_DIM}, got {n}")
 
 
-def _check_points(c: np.ndarray) -> None:
+def _check_points(c: np.ndarray, ideal: bool = False) -> None:
     """Reject rows (last axis) that are not finite interior Klein points.
 
+    ideal=True admits the closed ball: rows within BOUNDARY_TOL of the
+    sphere are ideal points, and only norms above 1 + BOUNDARY_TOL raise.
     The library's one test of incoming coordinates (README lists callers).
     """
     _check_dimension(c.shape[-1])
@@ -139,7 +141,12 @@ def _check_points(c: np.ndarray) -> None:
         raise ValueError("coordinates must be finite")
     # a single point takes the plain norm, as KleinPoint always has
     norm = np.linalg.norm(c) if c.ndim == 1 else np.sqrt(_row_sumsq(c))
-    if (norm >= 1.0 - BOUNDARY_TOL).any():
+    if ideal:
+        if (norm > 1.0 + BOUNDARY_TOL).any():
+            raise ValueError(
+                f"point outside the closed unit ball (norm > 1 + {BOUNDARY_TOL})"
+            )
+    elif (norm >= 1.0 - BOUNDARY_TOL).any():
         raise ValueError(
             f"point too close to the boundary sphere (norm >= 1 - {BOUNDARY_TOL})"
         )

@@ -51,6 +51,9 @@ def load_points(path) -> np.ndarray:
             rows.append(vals)
     pts = np.asarray(rows, dtype=float).reshape(-1, n)
     if model == "poincare":
+        # p and its inversion p/|p|^2 share a Klein point, so the rows are
+        # checked as interior points before they convert
+        _check_points(pts)
         pts = 2.0 * pts / (1.0 + np.sum(pts * pts, axis=1, keepdims=True))
     elif model == "hyperboloid":
         # rows are spatial parts, time part is implied

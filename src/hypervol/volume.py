@@ -578,8 +578,11 @@ def klein_angle(p, q, r) -> float:
 
     The metric tensor at p is g = I/(1-|p|^2) + p p^T/(1-|p|^2)^2; chords
     are geodesics, so the chord directions are the geodesic directions.
+    The three points may lie in the closed ball (`klein._check_points`
+    with ideal=True); an ideal p has angle 0.
     """
     pc, qc, rc = as_coords(p), as_coords(q), as_coords(r)
+    _check_points(np.vstack([pc, qc, rc]), ideal=True)
     u = qc - pc
     v = rc - pc
     s = 1.0 - float(pc @ pc)
@@ -628,11 +631,13 @@ def triangle_area_2d(a, b, c) -> float:
     """Exact hyperbolic area of a 2D triangle: pi minus the angle sum.
 
     Ideal vertices (IdealPoint, or norm within 1e-12 of the sphere)
-    contribute angle zero.  Collinear vertices give area 0.
+    contribute angle zero; a vertex outside the closed ball or with NaN
+    coordinates raises ValueError.  Collinear vertices give area 0.
     """
     coords = [as_coords(x) for x in (a, b, c)]
     if any(v.size != 2 for v in coords):
         raise ValueError("triangle_area_2d needs n = 2")
+    _check_points(np.array(coords), ideal=True)
     pa, pb, pc_ = coords
     if np.array_equal(pa, pb) or np.array_equal(pb, pc_) or np.array_equal(pa, pc_):
         raise ValueError("triangle vertices must be distinct")

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypervol import (
     PHI_CAP,
@@ -45,7 +46,7 @@ from hypervol import (
     unit_sphere_area,
     verify_facet_decomposition,
 )
-from hypervol import experiments
+from hypervol import cones, experiments
 
 R = 0.95
 SQUARE = np.array([[R, 0.0], [0.0, R], [-R, 0.0], [0.0, -R]])
@@ -471,6 +472,95 @@ def test_facet_decomposition_input_validation():
     bad = np.vstack([np.array([0.1, 0.1]), poly.vertices[list(facet)]])
     with pytest.raises(ValueError):
         verify_facet_decomposition(Simplex(bad), poly, budget=1000)
+
+
+def test_facet_decomposition_rejects_non_vertex_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the input checks")
+
+    monkeypatch.setattr(cones, "_chunk_sums", no_sampling)
+    monkeypatch.setattr(cones, "_dirichlet_draw", no_sampling)
+    poly = convex_hull(SQUARE)
+    # (R/2, R/2) lies on the facet, but no hull vertex points its way
+    verts = np.array([[0.0, 0.0], [R, 0.0], [R / 2, R / 2]])
+    with pytest.raises(ValueError, match="no hull vertex"):
+        verify_facet_decomposition(Simplex(verts), poly, budget=1000)
+
+
+def _tilde_oracle(poly, x, pts):
+    """Reference membership in C~_x: one grazing ray per sample.
+
+    Each sample's section plane spans x and the sample; `boundary_rays`
+    gives the in-hull endpoint z of the plane's boundary edge at x, and the
+    sample is tested against the in-plane triangle conv(0, x, (x + z)/2).
+    Returns the verdicts and each sample's distance to the nearest line of
+    its triangle.
+    """
+    u = x / np.linalg.norm(x)
+    a = pts @ u
+    ortho = pts - np.outer(a, u)
+    b = np.linalg.norm(ortho, axis=1)
+    _, z, _, _ = boundary_rays(poly, u, ortho / b[:, None])
+    za = z @ u
+    zb = np.linalg.norm(z - np.outer(za, u), axis=1)
+    xa = np.linalg.norm(x)
+    ma, mb = (xa + za) / 2.0, zb / 2.0
+    # each side is >= 0 inside: the axis, origin -> midpoint, apex -> midpoint
+    sides = [
+        b,
+        (mb * a - ma * b) / np.hypot(ma, mb),
+        ((ma - xa) * b - mb * (a - xa)) / np.hypot(ma - xa, mb),
+    ]
+    inside = np.all([s >= 0.0 for s in sides], axis=0)
+    return inside, np.min(np.abs(sides), axis=0)
+
+
+def _simplex_margin(pts, inv):
+    """Distance from each sample to the nearest facet plane of any simplex."""
+    n = pts.shape[1]
+    lam = pts @ inv
+    dist = []
+    for s in range(0, inv.shape[1], n):
+        block = inv[:, s:s + n]
+        dist.append(np.abs(lam[:, s:s + n]) / np.linalg.norm(block, axis=0))
+        dist.append(np.abs(1.0 - lam[:, s:s + n].sum(axis=1, keepdims=True))
+                    / np.linalg.norm(block.sum(axis=1)))
+    return np.min(np.hstack(dist), axis=1)
+
+
+CUBE = 0.5 * np.array([[i, j, k] for i in (-1.0, 1.0) for j in (-1.0, 1.0)
+                       for k in (-1.0, 1.0)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from([2, 3, 4, "cube"]), seed=st.integers(0, 2**20))
+def test_tilde_cone_union_of_simplices_matches_ray_oracle(case, seed):
+    rng = np.random.default_rng(seed)
+    if case == "cube":
+        # Qhull splits each square face into two triangles
+        pts = CUBE
+    else:
+        pts = rng.normal(size=(6 + 3 * case, case))
+        pts -= pts.mean(axis=0)  # the origin lies inside the hull
+        pts *= 0.85 / np.max(np.linalg.norm(pts, axis=1))
+    poly = convex_hull(pts)
+    n = poly.dim
+    x = poly.vertices[seed % len(poly.vertices)]
+    # samples fill conv(0, 1.3 T) for every facet T whose plane passes
+    # through x: together these hold C~_x, and reach past the hull
+    through_x = np.abs(poly.normals @ x - poly.offsets) <= 1e-9
+    samples = np.vstack([
+        1.3 * rng.dirichlet(np.ones(n + 1), size=300)[:, 1:]
+        @ poly.vertices[list(poly.facets[k])]
+        for k in np.flatnonzero(through_x)
+    ])
+    inv = cones._tilde_cone_inverses(poly, x)
+    got = cones._in_tilde_cone(samples, inv)
+    want, oracle_margin = _tilde_oracle(poly, x, samples)
+    clear = (oracle_margin > 1e-8) & (_simplex_margin(samples, inv) > 1e-8)
+    assert clear.sum() > 0.9 * len(samples)
+    assert 0 < want[clear].sum() < clear.sum()
+    assert np.array_equal(got[clear], want[clear])
 
 
 # ---------------------------------------------------------------------------

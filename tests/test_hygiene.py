@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import of the library is used."""
+"""Source hygiene: every module-level import and private definition is used."""
 
 import ast
 import pathlib
@@ -7,6 +7,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hypervol"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
 def _imported_names(tree):
@@ -31,6 +32,34 @@ def _referenced_names(tree):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = TREES[path]
     unused = sorted(set(_imported_names(tree)) - _referenced_names(tree))
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _names_outside(tree, skip):
+    """Names and attributes read anywhere in tree except inside `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_private_definitions_are_used(path):
+    unused = []
+    for node in TREES[path].body:
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            continue
+        # a reference inside the definition itself (recursion) does not count
+        if not any(node.name in set(_names_outside(tree, node))
+                   for tree in TREES.values()):
+            unused.append(node.name)
+    assert not unused, f"{path.name} defines but nothing uses {unused}"

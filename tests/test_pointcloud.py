@@ -38,6 +38,15 @@ def test_poincare_conversion_closed_form(tmp_path):
     assert_allclose(pts, [[0.8, 0.0]], atol=1e-15)
 
 
+@pytest.mark.parametrize("row", ["1.5,0.0", "1.0,0.0", "nan,0.0"])
+def test_poincare_rows_outside_the_ball_rejected(tmp_path, row):
+    # (1.5, 0) and its inversion (2/3, 0) share the Klein point (12/13, 0)
+    path = tmp_path / "p.csv"
+    path.write_text(f"dim=2,model=poincare\n0.5,0.0\n{row}\n")
+    with pytest.raises(ValueError):
+        hv.load_points(path)
+
+
 def test_hyperboloid_conversion_closed_form(tmp_path):
     # spatial part s = sinh(w) * u maps to tanh(w) * u
     path = tmp_path / "h.csv"

@@ -75,6 +75,21 @@ def test_degenerate_triangle_has_zero_area():
     assert triangle_area_2d([0.0, 0.0], [0.2, 0.2], [0.4, 0.4]) == 0.0
 
 
+def test_planar_angle_and_area_admit_only_the_closed_ball():
+    with pytest.raises(ValueError, match="closed unit ball"):
+        triangle_area_2d([0.0, 0.0], [0.5, 0.0], [1.5, 0.5])
+    with pytest.raises(ValueError, match="closed unit ball"):
+        klein_angle([1.5, 0.0], [0.0, 0.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        triangle_area_2d([0.0, 0.0], [0.5, 0.0], [math.nan, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        klein_angle([0.0, 0.0], [0.5, 0.0], [math.nan, 0.5])
+    # ideal vertices stay admitted, as IdealPoint or as rows on the sphere
+    assert klein_angle([1.0, 0.0], [0.0, 0.0], [0.0, 0.5]) == 0.0
+    assert triangle_area_2d(IdealPoint([1.0, 0.0]), [0.0, 1.0], [0.0, 0.0]) \
+        == pytest.approx(math.pi / 2, rel=1e-12)
+
+
 def test_simplex_mc_agrees_with_quadrature():
     rng = np.random.default_rng(13)
     for trial in range(4):
