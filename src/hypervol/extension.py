@@ -163,6 +163,9 @@ def sandwich_check(
     inner union must be in A_eps, each probe in A_eps must be in the
     outer union.  Both counts must be zero for a valid packing.
     """
+    m = int(probes)
+    if m < 1:
+        raise ValueError("probes must be >= 1")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = pack.epsilon
     inner = UnionOfBalls(pack.centers, eps / 2.0)
@@ -170,7 +173,6 @@ def sandwich_check(
     outer = UnionOfBalls(pack.centers, 2.0 * eps)
 
     rng = substream(seed)
-    m = int(probes)
     base = pack.centers[rng.integers(0, len(pack), size=m)]
     # hyperbolic-normal jitter: direction times a radius up to 2.5 eps
     g = _uniform_directions(rng, m, pts.shape[1])

@@ -87,7 +87,7 @@ class Polytope:
 
     def __init__(self, vertices, facets, normals, offsets, euclidean_volume):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.facets = [tuple(int(i) for i in f) for f in facets]
+        self.facets = [tuple(f) for f in np.asarray(facets, dtype=np.intp).tolist()]
         self.normals = np.asarray(normals, dtype=float)
         self.offsets = np.asarray(offsets, dtype=float)
         self.euclidean_volume = float(euclidean_volume)
@@ -138,15 +138,14 @@ def affine_rank(points: np.ndarray) -> int:
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    # keep first occurrence, preserve order
-    seen = {}
-    keep = []
-    for i, row in enumerate(points):
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    return points[keep]
+    """The first occurrence of each distinct row, in input order.
+
+    Rows compare by their bytes, so +0.0 and -0.0 rows stay distinct.
+    """
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first = np.unique(keys.ravel(), return_index=True)
+    return rows[np.sort(first)]
 
 
 def simplicial_perturbation(points, magnitude: float = 1e-9, seed: int = 0) -> np.ndarray:
@@ -203,17 +202,15 @@ def convex_hull(points) -> Polytope:
             simplicial_perturbation(pts, 1e-9), qhull_options="Qt"
         )
         pts = qh.points
-    order = np.sort(np.asarray(qh.vertices))
-    remap = {int(old): new for new, old in enumerate(order)}
-    vertices = pts[order]
-    facets = []
-    for simplex, eq in zip(qh.simplices, qh.equations):
-        tup = tuple(sorted(remap[int(i)] for i in simplex))
-        facets.append((tup, eq))
-    facets.sort(key=lambda fe: fe[0])
-    normals = np.array([eq[:-1] for _, eq in facets])
-    offsets = np.array([-eq[-1] for _, eq in facets])
-    return Polytope(vertices, [f for f, _ in facets], normals, offsets, qh.volume)
+    order = np.sort(qh.vertices)
+    remap = np.empty(len(pts), dtype=np.intp)
+    remap[order] = np.arange(len(order))
+    simplices = np.sort(remap[qh.simplices], axis=1)
+    # facets in lexicographic order; lexsort's last key is the primary one
+    rank = np.lexsort(simplices.T[::-1])
+    eq = qh.equations[rank]
+    return Polytope(pts[order], simplices[rank], np.ascontiguousarray(eq[:, :-1]),
+                    -eq[:, -1], qh.volume)
 
 
 def apex_triangulation(poly: Polytope, apex) -> list[Simplex]:

@@ -491,6 +491,47 @@ def polytope_volume(
 # ---------------------------------------------------------------------------
 # region Monte Carlo
 
+def _segment_locator(cdf: np.ndarray):
+    """`locate(u)` = clip(searchsorted(cdf, u, "right") - 1, 0, last), read
+    through a guide table (Chen & Asau, AIIE Trans. 6, 1974).
+
+    A guide of 4 entries per node maps each u-bin to a node at least one
+    below its first bracket; two steps up settle almost every draw.  A draw
+    is settled at k when every node up to k lies at or below u and every
+    node past k above it: then any binary search returns k + 1, whatever
+    keys it searched before.  The rest go to `np.searchsorted`.  Where the
+    table descends (radial tables do, in a few early segments, from n = 9
+    on), a binary search's answer also depends on the key searched just
+    before, so each run of unsettled draws is searched after the settled
+    draw that precedes it, which leaves the search in the state one call
+    over all of u would.
+    """
+    last = len(cdf) - 2
+    most_upto = np.maximum.accumulate(cdf)
+    least_past = np.minimum.accumulate(cdf[::-1])[::-1][1:]
+    # a step never leaves the last segment
+    next_up = np.append(most_upto[1:-1], np.inf)
+    guide_size = 4 * len(cdf)
+    scale = guide_size / float(cdf[-1])
+    bins = np.arange(guide_size) * (float(cdf[-1]) / guide_size)
+    guide = np.clip(np.searchsorted(most_upto, bins, side="right") - 2,
+                    0, last).astype(np.int32)
+
+    def locate(u):
+        k = guide[np.minimum((u * scale).astype(np.intp), guide_size - 1)]
+        k += next_up[k] <= u
+        k += next_up[k] <= u
+        unsettled = (most_upto[k] > u) | (u >= least_past[k])
+        if unsettled.any():
+            unsettled[:-1] |= unsettled[1:]  # and each one's predecessor
+            idx = np.flatnonzero(unsettled)
+            k[idx] = np.clip(np.searchsorted(cdf, u[idx], side="right") - 1,
+                             0, last)
+        return k
+
+    return locate
+
+
 def _radial_sampler(n: int, big_r: float):
     """Inverse-CDF table for hyperbolic-radial sampling up to radius big_r.
 
@@ -502,13 +543,14 @@ def _radial_sampler(n: int, big_r: float):
     total = float(cdf[-1])
     seg_dx = np.diff(xs)
     seg_df = np.maximum(np.diff(cdf), 1e-300)
+    seg_pdf = np.maximum(seg_df / seg_dx / total, 1e-300)
+    locate = _segment_locator(cdf)
 
     def draw(rng, m):
         u = rng.uniform(size=m) * total
-        k = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(seg_dx) - 1)
+        k = locate(u)
         w = xs[k] + (u - cdf[k]) * seg_dx[k] / seg_df[k]
-        pdf = seg_df[k] / seg_dx[k] / total
-        weight = unit_sphere_area(n - 1) * np.sinh(w) ** (n - 1) / np.maximum(pdf, 1e-300)
+        weight = unit_sphere_area(n - 1) * np.sinh(w) ** (n - 1) / seg_pdf[k]
         return w, weight
 
     return draw, total * unit_sphere_area(n - 1)

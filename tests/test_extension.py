@@ -168,6 +168,15 @@ def test_sandwich_check_clean_packing():
     assert out["probes"] == 20_000
 
 
+@pytest.mark.parametrize("probes", [0, -3])
+def test_sandwich_check_rejects_probe_counts_below_one(probes):
+    # zero probes would pass after testing nothing
+    pts = np.array([[0.0, 0.0], [0.3, 0.0]])
+    pack = greedy_packing(pts, 0.35, seed=5)
+    with pytest.raises(ValueError, match="probes must be >= 1"):
+        sandwich_check(pack, pts, probes=probes)
+
+
 def test_extension_volume_single_ball():
     # one center: A_eps is a ball, closed form available
     pts = np.zeros((1, 3))

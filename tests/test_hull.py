@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import spatial
 
 from hypervol import (
     DegenerateHullError,
@@ -167,3 +169,49 @@ def test_vertices_are_frozen():
     poly = convex_hull(SQUARE)
     with pytest.raises(ValueError):
         poly.vertices[0, 0] = 9.0
+
+
+def _oracle_hull(pts):
+    """convex_hull's bookkeeping row by row and facet by facet, as the
+    reference for its array code: first occurrences kept by row bytes,
+    vertex indices remapped through a dict, facets sorted as tuples."""
+    keep, seen = [], set()
+    for i, row in enumerate(pts):
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            keep.append(i)
+    pts = pts[keep]
+    qh = spatial.ConvexHull(pts, qhull_options="Qt")
+    order = np.sort(np.asarray(qh.vertices))
+    remap = {int(old): new for new, old in enumerate(order)}
+    pairs = [(tuple(sorted(remap[int(i)] for i in simplex)), eq)
+             for simplex, eq in zip(qh.simplices, qh.equations)]
+    pairs.sort(key=lambda fe: fe[0])
+    return (pts[order], [f for f, _ in pairs],
+            np.array([eq[:-1] for _, eq in pairs]),
+            np.array([-eq[-1] for _, eq in pairs]), qh.volume)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), extra=st.integers(2, 40), dups=st.integers(0, 6),
+       seed=st.integers(0, 2**20))
+def test_convex_hull_matches_row_by_row_reference(n, extra, dups, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n + extra, n))
+    pts *= rng.uniform(0.1, 0.9) / np.max(np.linalg.norm(pts, axis=1))
+    # repeated rows, and two rows that differ only in the sign of a zero
+    signed_zero = np.zeros((2, n))
+    signed_zero[:, 1] = 0.95
+    signed_zero[1, 0] = -0.0
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), size=dups)],
+                     signed_zero])
+    pts = pts[rng.permutation(len(pts))]
+    vertices, facets, normals, offsets, volume = _oracle_hull(pts)
+    poly = convex_hull(pts)
+    assert poly.vertices.tobytes() == vertices.tobytes()
+    assert poly.facets == facets
+    assert all(type(i) is int for f in poly.facets for i in f)
+    assert poly.normals.tobytes() == normals.tobytes()
+    assert poly.normals.flags.c_contiguous
+    assert poly.offsets.tobytes() == offsets.tobytes()
+    assert poly.euclidean_volume == volume

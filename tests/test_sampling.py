@@ -26,7 +26,11 @@ from hypervol import (
     simplex_volume,
     verify_facet_decomposition,
 )
-from hypervol.experiments import cmd_mass_near_vertices, render_csv
+from hypervol.experiments import (
+    cmd_mass_near_vertices,
+    cmd_theorem2_check,
+    render_csv,
+)
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
 TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
@@ -115,6 +119,16 @@ def test_mass_near_vertices_pinned():
         "3,1.0,0.2,0.2,0.04936576580033108,0,2098760971773801841,70000\n"
         "3,1.0,0.5,0.5,0.7898191930372505,0,2098760971773801841,70000\n"
     )
+
+
+def test_theorem2_check_csv_pinned():
+    # radial-table union Monte Carlo and extension hulls, end to end
+    cfg = RunConfig(command="theorem2-check", dims=(2, 3), instances=1,
+                    mc_samples=20_000, boundary_samples=64)
+    header, rows, _, _ = cmd_theorem2_check(cfg)
+    digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
+    assert digest == (
+        "9ab30a04e864079381845417022bef9bebba78b48dd91d8c64524b6f780299d4")
 
 
 def test_mass_near_vertices_repeated_threshold():

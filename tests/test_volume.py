@@ -30,7 +30,8 @@ from hypervol import (
     triangle_area_2d,
 )
 from hypervol.hull import apex_triangulation
-from hypervol.volume import lobachevsky, preferred_method
+from hypervol.klein import _radial_table
+from hypervol.volume import _segment_locator, lobachevsky, preferred_method
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
 TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
@@ -152,6 +153,36 @@ def test_region_mc_radial_branch_ball():
     est = region_volume_mc(region, samples=300_000, seed=9)
     assert abs(est.value - exact) < 4 * est.std_error
     assert est.std_error / exact < 0.03
+
+
+def _searchsorted_segment(cdf, u):
+    # the binary search that the guide table replaces, as the reference
+    return np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_guide_table_segments_match_binary_search(n):
+    # n = 9 and 11..16 have tables with a few descending segments
+    rng = np.random.default_rng(n)
+    for r_e in (0.99, 0.995, 0.9999, 1 - 1e-9, 1 - 1e-12):
+        _, cdf = _radial_table(n, math.atanh(r_e))
+        u = rng.uniform(size=200_000) * float(cdf[-1])
+        u[:4] = [0.0, float(cdf[-1]), np.nextafter(cdf[-1], 0.0), cdf[1]]
+        got = _segment_locator(cdf)(u)
+        assert np.array_equal(got, _searchsorted_segment(cdf, u))
+
+
+def test_guide_table_fallback_replays_binary_search():
+    # a long unsorted stretch and a spike above the end: most draws land
+    # where the binary search's answer depends on the keys searched before
+    rng = np.random.default_rng(3)
+    cdf = np.concatenate([[0.0], np.cumsum(rng.uniform(size=64))])
+    cdf[5:40] = cdf[5:40][::-1].copy()
+    cdf[20] = 2.0 * cdf[-1]
+    locate = _segment_locator(cdf)
+    for _ in range(20):
+        u = rng.uniform(size=5_000) * cdf[-1]
+        assert np.array_equal(locate(u), _searchsorted_segment(cdf, u))
 
 
 def test_region_mc_seeded_loop_is_calibrated():
