@@ -15,7 +15,6 @@ from .klein import (
     Isometry,
     KleinPoint,
     ball_boundary_array,
-    ball_boundary_points,
     ball_volume,
     boost_to,
     cosh_dist_matrix,
@@ -37,13 +36,11 @@ from .hull import (
     affine_rank,
     apex_triangulation,
     convex_hull,
-    lp_membership,
     simplicial_perturbation,
 )
 from .volume import (
     Region,
     VolumeEstimate,
-    klein_angle,
     polytope_volume,
     preferred_method,
     region_volume_mc,
@@ -56,13 +53,11 @@ from .cones import (
     ConeSection,
     NoSectionError,
     SingularIntegralError,
-    boundary_ray,
     boundary_rays,
     cone_integral_bound,
     cone_report,
     cone_sections,
     cone_volume,
-    densify_net,
     first_summand_closed,
     first_summand_quad,
     lemma1_argmax,
@@ -80,7 +75,6 @@ from .extension import (
     PackingBoundError,
     PackingResult,
     UnionOfBalls,
-    covering_centers,
     euclidean_capsule_ratio,
     extension_volume,
     greedy_packing,

@@ -40,7 +40,6 @@ import numpy as np
 from scipy import integrate
 
 from .klein import (
-    IDEAL_TRUNCATION,
     IdealPoint,
     KleinPoint,
     _check_dimension,
@@ -50,7 +49,7 @@ from .klein import (
     sinh_power_integral,
     unit_sphere_area,
 )
-from .hull import Polytope, Simplex, convex_hull
+from .hull import Polytope, Simplex
 from .rng import _chunk_sums
 from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _dirichlet_draw
 
@@ -60,7 +59,6 @@ __all__ = [
     "SingularIntegralError",
     "ConeSection",
     "BarycentricPoint",
-    "boundary_ray",
     "boundary_rays",
     "tangent_grid",
     "cone_sections",
@@ -77,7 +75,6 @@ __all__ = [
     "lemma1_matrix",
     "lemma1_det",
     "verify_facet_decomposition",
-    "densify_net",
     "cone_report",
 ]
 
@@ -221,17 +218,8 @@ def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
     return y, z, t_far, t_sphere
 
 
-def boundary_ray(poly: Polytope, x, theta) -> tuple[IdealPoint, KleinPoint]:
-    """(y, z) for a single tangent direction; see boundary_rays."""
-    th = np.asarray(as_coords(theta), dtype=float)
-    y, z, t_far, t_sphere = boundary_rays(poly, x, th[None, :])
-    if t_far[0] > t_sphere[0] + 1e-9:
-        raise NoSectionError("ray clip beyond the sphere")  # cannot happen for valid hulls
-    return IdealPoint(y[0]), KleinPoint(z[0])
-
-
-def tangent_grid(x, size: int, n: int) -> np.ndarray:
-    """Deterministic grid of unit tangents orthogonal to x.
+def tangent_grid(x, size: int) -> np.ndarray:
+    """Deterministic grid of unit tangents orthogonal to x in R^n, n = len(x).
 
     n=2: the two tangent directions (a 0-sphere).  n=3: uniform circle.
     n>=4: Sobol points pushed to the tangent (n-2)-sphere through the
@@ -239,6 +227,7 @@ def tangent_grid(x, size: int, n: int) -> np.ndarray:
     """
     x_dir = as_coords(x)
     x_dir = x_dir / np.linalg.norm(x_dir)
+    n = x_dir.size
     if size < 8:
         raise ValueError("angular grid must have at least 8 directions")
     basis = _tangent_basis(x_dir)                     # (n-1, n)
@@ -268,21 +257,18 @@ def _tangent_basis(x_dir: np.ndarray) -> np.ndarray:
     return q[:, 1:n].T
 
 
-def cone_sections(
-    poly: Polytope, x, angular_grid: int, tilde: bool = False
-) -> list[ConeSection]:
-    """Sections of the vertex cone at x, one per tangent grid direction.
+def cone_sections(poly: Polytope, x, angular_grid: int) -> list[ConeSection]:
+    """Sections of the vertex cone C_x at x, one per tangent grid direction.
 
-    tilde=False uses the sphere point y (the cone C_x); tilde=True uses the
-    in-hull endpoint z (the cone C~_x, always contained in the former).
+    Each section's far point is (x + y)/2 with y the sphere point of its
+    boundary edge.
     """
     x_dir = as_coords(x)
     x_dir = x_dir / np.linalg.norm(x_dir)
-    n = poly.dim
-    thetas = tangent_grid(x_dir, angular_grid, n)
-    y, z, _, _ = boundary_rays(poly, x_dir, thetas)
+    thetas = tangent_grid(x_dir, angular_grid)
+    y, _, _, _ = boundary_rays(poly, x_dir, thetas)
     xh = _match_vertex(poly, x_dir)
-    far = (xh[None, :] + (z if tilde else y)) / 2.0
+    far = (xh[None, :] + y) / 2.0
     out = []
     for k in range(thetas.shape[0]):
         fa = float(far[k] @ x_dir)
@@ -718,47 +704,10 @@ def verify_facet_decomposition(
     }
 
 
-# ---------------------------------------------------------------------------
-# net densification
-
-def densify_net(points: np.ndarray, grid: int = 32) -> np.ndarray:
-    """Add near-ideal points until all section angles fall below PHI_CAP.
-
-    Each wide section (apex x, sphere point y) is split by inserting the
-    normalized midpoint direction of x and y at IDEAL_TRUNCATION; adding
-    points only grows the hull, which is the sound direction for
-    upper-bound experiments.  Stops after 10 rounds.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    n = pts.shape[1]
-    for _ in range(10):
-        poly = convex_hull(pts)
-        new_dirs = []
-        for v in poly.vertices:
-            r = np.linalg.norm(v)
-            if r < 0.5:
-                continue
-            u = v / r
-            thetas = tangent_grid(u, grid, n)
-            y, _, _, _ = boundary_rays(poly, u, thetas)
-            far = (v[None, :] + y) / 2.0
-            fa = far @ u
-            fb = np.einsum("kn,kn->k", far, thetas)
-            phis = np.arctan2(fb, fa)
-            for k in np.nonzero(phis >= PHI_CAP)[0]:
-                mid = v + y[k]
-                new_dirs.append(mid / np.linalg.norm(mid))
-        if not new_dirs:
-            return pts
-        added = IDEAL_TRUNCATION * np.array(new_dirs)
-        pts = np.vstack([pts, added])
-    return pts
-
-
 def cone_report(poly: Polytope, x, grid: int) -> dict:
     """JSON-ready report for one vertex cone: sections, volume, bound."""
     n = poly.dim
-    secs = cone_sections(poly, x, grid, tilde=False)
+    secs = cone_sections(poly, x, grid)
     est = cone_volume(secs, n)
     z_n = unit_sphere_area(n - 2)
     bound = z_n * float(np.mean([majorant(n, s.origin_angle) for s in secs]))

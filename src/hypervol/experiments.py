@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class RunConfig:
     r_values: tuple = (1.0, 2.0, 5.0)
     c_values: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0, 1.2)
     points_path: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

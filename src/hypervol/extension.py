@@ -38,7 +38,6 @@ __all__ = [
     "PackingResult",
     "UnionOfBalls",
     "greedy_packing",
-    "covering_centers",
     "sandwich_check",
     "extension_volume",
     "hull_of_extension",
@@ -145,15 +144,6 @@ def greedy_packing(points: np.ndarray, epsilon: float, seed: int = 0) -> Packing
     return PackingResult(centers, epsilon, pts.shape[0])
 
 
-def covering_centers(points: np.ndarray, radius: float, seed: int = 0) -> np.ndarray:
-    """Greedy cover of the cloud by radius-balls; returns the centers.
-
-    A maximal radius-separated set is also a radius-cover, so covering
-    numbers at radius r are at most packing numbers at separation r.
-    """
-    return greedy_packing(points, radius, seed=seed).centers
-
-
 def sandwich_check(
     pack: PackingResult, points: np.ndarray, probes: int = 50_000, seed: int = 0
 ) -> dict:
@@ -250,7 +240,8 @@ def theorem2_ratio(
     the route `preferred_method` picks: a closed form in 2D and 3D, facet
     quadrature with evaluation budget `budget` above.  The union volume is
     Monte Carlo with `samples` draws.  The ratio is low_confidence when
-    the hull estimate is, or when the union's relative SE exceeds 5%.
+    the hull estimate is, or when the union's relative SE exceeds 5%; a
+    union estimate of 0 (no sample hit a ball) gives ratio inf.
     """
     poly = hull_of_extension(points, epsilon, boundary_samples, seed=seed)
     hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
@@ -258,11 +249,12 @@ def theorem2_ratio(
         points, epsilon, samples=samples, seed=seed, workers=workers,
         check_lower_bound=False,
     )
-    rel = union_est.std_error / union_est.value if union_est.value > 0 else math.inf
+    hit = union_est.value > 0
+    rel = union_est.std_error / union_est.value if hit else math.inf
     return {
         "hull": hull_est,
         "union": union_est,
-        "ratio": hull_est.value / union_est.value,
+        "ratio": hull_est.value / union_est.value if hit else math.inf,
         "low_confidence": bool(hull_est.low_confidence or rel > 0.05),
     }
 

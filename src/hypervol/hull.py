@@ -11,11 +11,10 @@ Halfspaces use the convention normal . x <= offset with outward normals.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
-from scipy import optimize, spatial
+from scipy import spatial
 
 from .klein import BOUNDARY_TOL, IdealPoint, KleinPoint, _check_points, as_coords
 from .rng import substream
@@ -27,7 +26,6 @@ __all__ = [
     "convex_hull",
     "simplicial_perturbation",
     "apex_triangulation",
-    "lp_membership",
     "affine_rank",
 ]
 
@@ -71,9 +69,6 @@ class Simplex:
         det = float(np.linalg.det(gram))
         return float(np.sqrt(max(det, 0.0))) / math.factorial(self.k)
 
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
 
 class Polytope:
     """Vertex list, simplicial facets (index tuples), supporting halfspaces.
@@ -110,20 +105,6 @@ class Polytope:
 
     def interior_point(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": int(self.dim),
-            "vertices": [[float(x) for x in v] for v in self.vertices],
-            "facets": [list(f) for f in self.facets],
-            "halfspaces": [
-                {"normal": [float(x) for x in nrm], "offset": float(off)}
-                for nrm, off in zip(self.normals, self.offsets)
-            ],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def affine_rank(points: np.ndarray) -> int:
@@ -223,22 +204,3 @@ def apex_triangulation(poly: Polytope, apex) -> list[Simplex]:
         verts = np.vstack([a[None, :], poly.vertices[list(facet)]])
         out.append(Simplex(verts))
     return out
-
-
-def lp_membership(points: np.ndarray, probe) -> bool:
-    """Independent hull-membership oracle: is probe a convex combination?
-
-    Solves the feasibility LP  {lambda >= 0, sum lambda = 1,
-    points^T lambda = probe}  directly, with no reference to the facet
-    structure, so it cross-checks the halfspace route.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = as_coords(probe)
-    m = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones((1, m))])
-    b_eq = np.concatenate([p, [1.0]])
-    res = optimize.linprog(
-        c=np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m,
-        method="highs",
-    )
-    return bool(res.status == 0)

@@ -32,6 +32,7 @@ __all__ = [
     "Isometry",
     "as_coords",
     "density",
+    "density_array",
     "dist",
     "dist_matrix",
     "cosh_dist_matrix",
@@ -40,7 +41,6 @@ __all__ = [
     "boost_to",
     "random_isometry",
     "ball_volume",
-    "ball_boundary_points",
     "ball_boundary_array",
     "unit_sphere_area",
     "sinh_power_integral",
@@ -263,11 +263,6 @@ class Isometry:
     def dim(self) -> int:
         return self.matrix.shape[0] - 1
 
-    def minkowski_defect(self) -> float:
-        """Max-abs deviation of M^T eta M from eta; 0 for an exact isometry."""
-        eta = np.diag([-1.0] + [1.0] * self.dim)
-        return float(np.max(np.abs(self.matrix.T @ eta @ self.matrix - eta)))
-
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         X = _lift(pts) @ self.matrix.T
         return X[:, 1:] / X[:, 0:1]
@@ -459,12 +454,3 @@ def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:
     moved = boost_to(c[..., None, :], math.tanh(r) * dirs)
     _check_points(moved)
     return moved
-
-
-def ball_boundary_points(center, r: float, count: int, seed: int) -> list[KleinPoint]:
-    """`count` seeded points at hyperbolic distance r from `center`.
-
-    The single-center form of `ball_boundary_array`, as KleinPoints.
-    """
-    ring = ball_boundary_array(as_coords(center), r, count, seed)
-    return [KleinPoint(row) for row in ring]

@@ -34,7 +34,6 @@ bitwise reproducible for a fixed seed regardless of the worker count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -64,7 +63,6 @@ __all__ = [
     "preferred_method",
     "region_volume_mc",
     "triangle_area_2d",
-    "klein_angle",
     "lobachevsky",
     "MC_CHUNK",
 ]
@@ -98,9 +96,6 @@ class VolumeEstimate:
             "low_confidence": bool(self.low_confidence),
             "achieved_rel_tol": None if tol is None else float(tol),
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -614,31 +609,6 @@ def region_volume_mc(
 
 # ---------------------------------------------------------------------------
 # closed forms: 2D angle defect, 3D orthoschemes
-
-def klein_angle(p, q, r) -> float:
-    """Riemannian angle at p between the geodesics toward q and r (n = 2+).
-
-    The metric tensor at p is g = I/(1-|p|^2) + p p^T/(1-|p|^2)^2; chords
-    are geodesics, so the chord directions are the geodesic directions.
-    The three points may lie in the closed ball (`klein._check_points`
-    with ideal=True); an ideal p has angle 0.
-    """
-    pc, qc, rc = as_coords(p), as_coords(q), as_coords(r)
-    _check_points(np.vstack([pc, qc, rc]), ideal=True)
-    u = qc - pc
-    v = rc - pc
-    s = 1.0 - float(pc @ pc)
-    if s <= 0:
-        return 0.0
-
-    def g(a, b):
-        return float(a @ b) / s + float(pc @ a) * float(pc @ b) / (s * s)
-
-    denom = math.sqrt(g(u, u) * g(v, v))
-    if denom == 0.0:
-        raise ValueError("angle undefined for coincident vertices")
-    return math.acos(min(1.0, max(-1.0, g(u, v) / denom)))
-
 
 def _angle_defects(tri: np.ndarray) -> np.ndarray:
     """Hyperbolic areas of a (k, 3, 2) batch of triangles: pi - angle sum.

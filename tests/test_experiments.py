@@ -7,6 +7,7 @@ a different worker count.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from hypervol import cli
 
 def test_runconfig_roundtrip_and_validation():
     cfg = RunConfig(command="cone-table", dims=(2, 3), seed=9)
-    again = RunConfig.from_json(cfg.to_json())
+    # a config written as JSON, the form the CLI reads, comes back equal
+    again = RunConfig.from_json(json.dumps(asdict(cfg)))
     assert again == cfg
     with pytest.raises(ValueError):
         RunConfig.from_dict({"seeds": 3})  # typo'd key must not pass silently

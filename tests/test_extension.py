@@ -16,7 +16,6 @@ from hypervol import (
     ball_boundary_array,
     ball_volume,
     convex_hull,
-    covering_centers,
     dist,
     dist_matrix,
     euclidean_capsule_ratio,
@@ -68,15 +67,6 @@ def test_greedy_packing_separation_and_maximality():
     # centers are a subset of the input
     for c in pack.centers:
         assert np.min(np.linalg.norm(pts - c, axis=1)) < 1e-15
-
-
-def test_covering_centers_cover():
-    rng = np.random.default_rng(8)
-    pts = 0.4 * rng.uniform(-1, 1, size=(40, 3))
-    centers = covering_centers(pts, 0.25, seed=2)
-    for p in pts:
-        assert min(dist(KleinPoint(p), KleinPoint(c))
-                   for c in centers) <= 0.25 + 1e-12
 
 
 def test_union_of_balls_membership():
@@ -319,4 +309,16 @@ def test_theorem2_ratio_carries_the_hull_flag():
                          budget=20_000, seed=3)
     assert out["hull"].low_confidence
     assert out["union"].std_error <= 0.05 * out["union"].value
+    assert out["low_confidence"]
+
+
+def test_theorem2_ratio_without_union_hits_is_infinite():
+    # two tiny balls near the boundary: no union sample hits either, so
+    # the union estimate is 0 and the ratio is inf, flagged, not an error
+    t = math.tanh(5.0)
+    out = theorem2_ratio(np.array([[-t, 0.0], [t, 0.0]]), 1e-3, samples=1000,
+                         boundary_samples=16)
+    assert out["union"].value == 0.0
+    assert out["hull"].value > 0.0
+    assert out["ratio"] == math.inf
     assert out["low_confidence"]

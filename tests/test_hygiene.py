@@ -1,13 +1,33 @@
-"""Source hygiene: every module-level import and private definition is used."""
+"""Source hygiene: every module-level import, private definition and
+public name is used."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hypervol"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hypervol"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TREES = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+# Code whose reads count as reaching a public name: the library (cli.py
+# among it), the benchmark harness and the acceptance gates.  Unit tests
+# do not count: a name only they call is reached in name only.
+REACHING = dict(TREES)
+for _path in [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+              if not p.name.startswith("test_")] + [ROOT / "tests" / "test_acceptance.py"]:
+    REACHING[_path] = ast.parse(_path.read_text(encoding="utf-8"))
+
+# Public names kept although only unit tests reach them.
+UNREACHED_ALLOWED = {
+    # the writer of the point-file format that `load_points` reads; it is
+    # how a user makes a points_path file, and the reader's tests use it
+    "save_points",
+    # the chart dispatcher: the polar/uv cross-check of the section
+    # integral, the test that the two charts agree, runs through it
+    "section_integral",
+}
 
 
 def _imported_names(tree):
@@ -20,13 +40,18 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def _referenced_names(tree):
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    # a name listed in __all__ is a re-export, which counts as a use
+def _all_names(tree):
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            names.update(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _referenced_names(tree):
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a name listed in __all__ is a re-export, which counts as a use
+    names.update(_all_names(tree))
     return names
 
 
@@ -38,15 +63,18 @@ def test_module_level_imports_are_used(path):
 
 
 def _names_outside(tree, skip):
-    """Names and attributes read anywhere in tree except inside `skip`."""
+    """Names and attributes read anywhere in tree except inside `skip`.
+
+    Only reads count: the binding `MC_CHUNK = 65536` does not use MC_CHUNK.
+    """
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
         stack.extend(ast.iter_child_nodes(node))
 
@@ -63,3 +91,30 @@ def test_module_level_private_definitions_are_used(path):
                    for tree in TREES.values()):
             unused.append(node.name)
     assert not unused, f"{path.name} defines but nothing uses {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_names_are_reached(path):
+    defs = {node.name: node for node in TREES[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unreached = [
+        name for name in _all_names(TREES[path])
+        if name not in UNREACHED_ALLOWED
+        # a read inside the name's own definition (recursion) does not count
+        and not any(name in set(_names_outside(tree, defs.get(name)))
+                    for tree in REACHING.values())
+    ]
+    assert not unreached, (
+        f"{path.name} exports {unreached}, which no library code, CLI command, "
+        "benchmark or acceptance gate reaches")
+
+
+def test_package_reexports_are_public():
+    stray = [
+        f"{node.module}.{alias.name}"
+        for node in TREES[SRC / "__init__.py"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in _all_names(TREES[SRC / f"{node.module}.py"])
+    ]
+    assert not stray, f"hypervol re-exports names missing from __all__: {stray}"

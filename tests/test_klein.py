@@ -94,7 +94,9 @@ def test_translation_moves_origin():
         iso = translation_to(KleinPoint(target))
         img = iso.apply_array(np.zeros((1, n)))[0]
         assert_allclose(img, target, atol=1e-14)
-        assert iso.minkowski_defect() < 1e-12
+        # M^T eta M = eta: the Lorentz matrix preserves the Minkowski form
+        eta = np.diag([-1.0] + [1.0] * n)
+        assert_allclose(iso.matrix.T @ eta @ iso.matrix, eta, rtol=0, atol=1e-12)
 
 
 def _ball_rows(rng, rows, n, low, high):
@@ -331,22 +333,19 @@ def test_ball_volume_high_dimensions(n):
 
 
 def test_ball_boundary_points():
-    center = KleinPoint([0.2, -0.1, 0.3])
-    pts = hv.ball_boundary_points(center, 0.7, 50, seed=9)
-    assert len(pts) == 50
-    for p in pts[:10]:
-        assert_allclose(hv.dist(center, p), 0.7, atol=1e-10)
+    center = [0.2, -0.1, 0.3]
+    pts = hv.ball_boundary_array(center, 0.7, 50, seed=9)
+    assert pts.shape == (50, 3)
+    assert_allclose(hv.dist_matrix(np.array([center]), pts), 0.7, atol=1e-10)
     # prefix stability: first 10 of a longer draw match the shorter draw
-    again = hv.ball_boundary_points(center, 0.7, 10, seed=9)
-    for a, b in zip(again, pts[:10]):
-        assert np.array_equal(a.coords, b.coords)
+    again = hv.ball_boundary_array(center, 0.7, 10, seed=9)
+    assert np.array_equal(again, pts[:10])
     # centered at origin all have Euclidean norm tanh(r)
-    ring = hv.ball_boundary_points(KleinPoint([0.0, 0.0]), 1.3, 8, seed=1)
-    for p in ring:
-        assert_allclose(np.linalg.norm(p.coords), math.tanh(1.3), atol=1e-14)
+    ring = hv.ball_boundary_array([0.0, 0.0], 1.3, 8, seed=1)
+    assert_allclose(np.linalg.norm(ring, axis=1), math.tanh(1.3), atol=1e-14)
     # a sphere that rounds onto the boundary is refused, not returned
     with pytest.raises(ValueError):
-        hv.ball_boundary_points(center, 40.0, 4, seed=0)
+        hv.ball_boundary_array(center, 40.0, 4, seed=0)
 
 
 def test_as_coords_accepts_wrappers():
