@@ -8,6 +8,7 @@ leave a partial last chunk so that the chunk boundary is exercised.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypervol import (
     Region,
     RunConfig,
     Simplex,
+    cone_report,
     convex_hull,
     extension_volume,
     generate_points,
@@ -27,7 +29,9 @@ from hypervol import (
     verify_facet_decomposition,
 )
 from hypervol.experiments import (
+    cmd_cone_table,
     cmd_mass_near_vertices,
+    cmd_theorem1_sweep,
     cmd_theorem2_check,
     render_csv,
 )
@@ -129,6 +133,35 @@ def test_theorem2_check_csv_pinned():
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
         "9ab30a04e864079381845417022bef9bebba78b48dd91d8c64524b6f780299d4")
+
+
+def test_theorem1_sweep_csv_pinned():
+    # exact_2d, exact_3d and 4D quadrature, each on recentred hulls
+    cfg = RunConfig(dims=(2, 3, 4), sizes=(8, 16, 32), replicates=2,
+                    budget=50_000)
+    header, rows, _, _ = cmd_theorem1_sweep(cfg)
+    digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
+    assert digest == (
+        "8e90c92adce7c8ee2ed966669c287f55026118ed80ef06ab0d0946aaf0fea6ca")
+
+
+def test_cone_reports_pinned():
+    # sections, cone volumes and truncation deficits at near-ideal vertices
+    reports = []
+    for n, count in ((2, 12), (3, 24)):
+        poly = convex_hull(generate_points("uniform-ideal", n, count, 3))
+        reports.extend(cone_report(poly, poly.vertices[v], 16) for v in range(3))
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == (
+        "13c9afaa6876bcd7a4c1153b77b57f2c6c73d815fc1d6a83bf95ee911123cfa7")
+
+
+def test_cone_table_csv_pinned():
+    cfg = RunConfig(phis=(0.01, 0.05), cone_dims=(2, 3, 4))
+    header, rows, _, _ = cmd_cone_table(cfg)
+    digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
+    assert digest == (
+        "1b25f9e7878ae73493e61cfb1a5370fab5371f7f2f32bea19f62d18b14b2f218")
 
 
 def test_mass_near_vertices_repeated_threshold():
