@@ -24,7 +24,6 @@ from .klein import (
     dist_matrix,
     random_isometry,
     sinh_power_integral,
-    translate_to_origin,
     translation_to,
     unit_sphere_area,
 )

@@ -160,12 +160,13 @@ def _match_vertex(poly: Polytope, x_dir: np.ndarray) -> np.ndarray:
     return poly.vertices[idx]
 
 
-def _active_facets(poly: Polytope, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(xh, slack, active) at the hull vertex xh in direction x.
+def _active_facets(poly: Polytope, x) -> tuple[np.ndarray, np.ndarray]:
+    """(xh, active) at the hull vertex xh in direction x.
 
-    slack holds every facet's offset minus its normal . xh, and active marks
-    the facets whose plane passes through xh.  Raises ValueError unless the
-    polytope holds the origin and has a vertex in direction x.
+    active marks the facets whose plane passes through xh, those whose
+    offset exceeds normal . xh by at most 1e-9 (1 + |offset|).  Raises
+    ValueError unless the polytope holds the origin and has a vertex in
+    direction x.
     """
     x_dir = as_coords(x)
     x_dir = x_dir / np.linalg.norm(x_dir)
@@ -176,19 +177,20 @@ def _active_facets(poly: Polytope, x) -> tuple[np.ndarray, np.ndarray, np.ndarra
     active = slack <= 1e-9 * (1.0 + np.abs(poly.offsets))
     if not np.any(active):
         raise ValueError("direction does not match a polytope vertex")
-    return xh, slack, active
+    return xh, active
 
 
 def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
-    """Vectorized boundary-edge data at the vertex in direction x.
+    """Where the boundary edges at the vertex in direction x meet the sphere.
 
     For each tangent row theta: rotate a ray at the vertex from the inward
     axis direction toward theta until the last angle psi* at which it still
     enters the polytope; that grazing ray lies on the section's boundary
-    edge.  Returns (y, z, t_far, t_sphere): y rows are unit vectors (second
-    sphere intersections), z rows the far endpoints inside the polytope.
+    edge.  Returns (y, xh): y rows are the unit vectors where the grazing
+    rays leave the ball (the second sphere intersections of the edge
+    lines), xh the hull vertex the rays start from.
     """
-    xh, slack, active = _active_facets(poly, x)
+    xh, active = _active_facets(poly, x)
     u = xh / np.linalg.norm(xh)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     normals = poly.normals
@@ -199,23 +201,11 @@ def boundary_rays(poly: Polytope, x, thetas: np.ndarray):
     if np.any(psi_star <= 1e-12):
         raise NoSectionError("section degenerate: no interior rotation")
     delta = -np.outer(np.cos(psi_star), u) + thetas * np.sin(psi_star)[:, None]
-    # clip the grazing ray against the non-active facets only; active planes
-    # pass through the vertex and cannot produce a positive crossing
-    rest = ~active
-    denom = normals[rest] @ delta.T                   # (F', m)
-    num = slack[rest]                                 # strictly positive
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cand = np.where(denom > 1e-12, num[:, None] / denom, np.inf)
-    t_far = t_cand.min(axis=0)
-    if np.any(~np.isfinite(t_far)) or np.any(t_far <= 1e-12):
-        raise NoSectionError("section degenerate: grazing ray leaves immediately")
-    z = xh[None, :] + t_far[:, None] * delta
     b = delta @ xh
     c0 = float(xh @ xh) - 1.0
-    t_sphere = -b + np.sqrt(b * b - c0)
-    y = xh[None, :] + t_sphere[:, None] * delta
+    y = xh[None, :] + (-b + np.sqrt(b * b - c0))[:, None] * delta
     y /= np.sqrt(_row_sumsq(y))[:, None]
-    return y, z, t_far, t_sphere
+    return y, xh
 
 
 def tangent_grid(x, size: int) -> np.ndarray:
@@ -266,21 +256,21 @@ def cone_sections(poly: Polytope, x, angular_grid: int) -> list[ConeSection]:
     x_dir = as_coords(x)
     x_dir = x_dir / np.linalg.norm(x_dir)
     thetas = tangent_grid(x_dir, angular_grid)
-    y, _, _, _ = boundary_rays(poly, x_dir, thetas)
-    xh = _match_vertex(poly, x_dir)
+    y, xh = boundary_rays(poly, x_dir, thetas)
     far = (xh[None, :] + y) / 2.0
+    apex = IdealPoint(x_dir)
+    apex_radius = float(np.linalg.norm(xh))
     out = []
     for k in range(thetas.shape[0]):
         fa = float(far[k] @ x_dir)
         fb = float(far[k] @ thetas[k])
-        phi = math.atan2(fb, fa)
         out.append(
             ConeSection(
-                apex=IdealPoint(x_dir),
+                apex=apex,
                 direction=thetas[k],
                 far_point=far[k],
-                origin_angle=phi,
-                apex_radius=float(np.linalg.norm(xh)),
+                origin_angle=math.atan2(fb, fa),
+                apex_radius=apex_radius,
             )
         )
     return out
@@ -415,10 +405,11 @@ def section_integral(section: ConeSection, n: int, chart: str = "polar"):
     raise ValueError(f"unknown chart {chart!r}")
 
 
-def cone_volume(sections: list[ConeSection], n: int) -> VolumeEstimate:
+def cone_volume(sections: list[ConeSection]) -> VolumeEstimate:
     """Assembled cone volume Z_n * mean over grid sections.
 
-    Z_n is the unit (n-2)-sphere area; for n = 2 it equals 2 and the mean
+    n is the dimension of the sections' shared apex.  Z_n is the unit
+    (n-2)-sphere area; for n = 2 it equals 2 and the mean
     over the two sections reduces to the plain sum of the two triangle
     areas, so no special casing is needed.
 
@@ -428,6 +419,7 @@ def cone_volume(sections: list[ConeSection], n: int) -> VolumeEstimate:
     if not sections:
         raise ValueError("need at least one section")
     x0 = sections[0].apex.direction
+    n = x0.size
     for s in sections[1:]:
         if np.linalg.norm(s.apex.direction - x0) > 1e-9:
             raise ValueError("sections must share an apex")
@@ -611,7 +603,7 @@ def _tilde_cone_inverses(poly: Polytope, x) -> np.ndarray:
     V_j holding the simplex's vertices other than the origin as rows, so
     that p @ V_j^-1 are p's barycentric weights of those vertices.
     """
-    xh, _, active = _active_facets(poly, x)
+    xh, active = _active_facets(poly, x)
     return np.hstack([
         np.linalg.inv((xh[None, :] + poly.vertices[list(poly.facets[k])]) / 2.0)
         for k in np.flatnonzero(active)
@@ -708,7 +700,7 @@ def cone_report(poly: Polytope, x, grid: int) -> dict:
     """JSON-ready report for one vertex cone: sections, volume, bound."""
     n = poly.dim
     secs = cone_sections(poly, x, grid)
-    est = cone_volume(secs, n)
+    est = cone_volume(secs)
     z_n = unit_sphere_area(n - 2)
     bound = z_n * float(np.mean([majorant(n, s.origin_angle) for s in secs]))
     deficit = 0.0
@@ -717,7 +709,7 @@ def cone_report(poly: Polytope, x, grid: int) -> dict:
         # integral is computed once, for the volume, and paired with its
         # ideal one here
         ideal = [replace(s, apex_radius=1.0) for s in secs]
-        deficit = cone_volume(ideal, n).value - est.value
+        deficit = cone_volume(ideal).value - est.value
     return {
         "apex": [float(v) for v in as_coords(x)],
         "grid": int(len(secs)),

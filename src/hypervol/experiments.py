@@ -220,34 +220,23 @@ def cmd_theorem1_sweep(config: RunConfig):
     ]
     rows: list[list] = []
     failures: list[str] = []
-    retries: list[str] = []
     stats: dict[tuple, dict[int, list[float]]] = {}
     for n in config.dims:
         per_n = stats.setdefault((n, config.family), {})
         for size in config.sizes:
             for rep in range(config.replicates):
                 seed_r = _derive_seed(config.seed, n, size, rep)
-                est = None
-                used_seed = seed_r
-                for attempt in range(3):
-                    used_seed = seed_r + attempt
-                    pts = generate_points(config.family, n, size, used_seed)
-                    try:
-                        poly = convex_hull(pts)
-                    except DegenerateHullError:
-                        retries.append(
-                            f"degenerate hull retried: n={n} N={size} rep={rep}"
-                        )
-                        continue
-                    est = polytope_volume(
-                        poly, preferred_method(n), config.budget, used_seed
-                    )
-                    break
-                if est is None:
+                pts = generate_points(config.family, n, size, seed_r)
+                try:
+                    poly = convex_hull(pts)
+                except DegenerateHullError:
                     failures.append(f"hull failed: n={n} N={size} rep={rep}")
                     continue
+                est = polytope_volume(
+                    poly, preferred_method(n), config.budget, seed_r
+                )
                 rows.append([
-                    n, config.family, size, rep, used_seed, config.budget,
+                    n, config.family, size, rep, seed_r, config.budget,
                     est.value, est.value / size, est.std_error, est.method,
                     est.evaluations,
                 ])
@@ -259,7 +248,7 @@ def cmd_theorem1_sweep(config: RunConfig):
                             f"2D fan bound violated: N={size} rep={rep} "
                             f"vol={est.value!r} > (N-2)pi={bound!r}"
                         )
-    summary = {"slopes": {}, "ratio_peak": {}, "retries": retries}
+    summary = {"slopes": {}, "ratio_peak": {}}
     for (n, family), per_n in stats.items():
         sizes = sorted(per_n)
         if len(sizes) < 3:

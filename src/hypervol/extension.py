@@ -16,6 +16,7 @@ import numpy as np
 from .klein import (
     BOUNDARY_TOL,
     _check_points,
+    _check_radius,
     _row_sumsq,
     _uniform_directions,
     ball_boundary_array,
@@ -55,12 +56,13 @@ class PackingBoundError(AssertionError):
 class PackingResult:
     """A maximal eps-separated subset of an input cloud.
 
-    Validates on construction that the centers are strictly pairwise
-    more than eps apart; maximality (every input point within eps of a
-    center) is certified by greedy_packing before the object is built.
+    Validates on construction that eps is finite and positive and the centers
+    strictly pairwise more than eps apart; maximality (every input point
+    within eps of a center) is certified by greedy_packing beforehand.
     """
 
-    def __init__(self, centers: np.ndarray, epsilon: float, input_size: int):
+    def __init__(self, centers: np.ndarray, epsilon: float):
+        _check_radius(epsilon)
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         dm = dist_matrix(centers, centers)
         np.fill_diagonal(dm, np.inf)
@@ -69,7 +71,6 @@ class PackingResult:
         self.centers = centers
         self.centers.setflags(write=False)
         self.epsilon = float(epsilon)
-        self.input_size = int(input_size)
 
     def __len__(self):
         return self.centers.shape[0]
@@ -91,8 +92,7 @@ class UnionOfBalls:
     def __init__(self, centers: np.ndarray, radius: float):
         centers = np.array(centers, dtype=float, ndmin=2)
         _check_points(centers)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        _check_radius(radius)
         centers.setflags(write=False)
         self.centers = centers
         self.radius = float(radius)
@@ -129,6 +129,7 @@ def greedy_packing(points: np.ndarray, epsilon: float, seed: int = 0) -> Packing
     Every input point ends up within eps of an accepted center, so the
     result is maximal by construction.
     """
+    _check_radius(epsilon)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     _check_points(pts)
     order = substream(seed).permutation(pts.shape[0])
@@ -141,7 +142,7 @@ def greedy_packing(points: np.ndarray, epsilon: float, seed: int = 0) -> Packing
     resid = dist_matrix(pts, centers).min(axis=1)
     if resid.max() > epsilon:
         raise AssertionError("greedy scan failed to cover the input")
-    return PackingResult(centers, epsilon, pts.shape[0])
+    return PackingResult(centers, epsilon)
 
 
 def sandwich_check(

@@ -78,14 +78,13 @@ class Polytope:
     representation is deterministic for a given input.
     """
 
-    __slots__ = ("vertices", "facets", "normals", "offsets", "euclidean_volume")
+    __slots__ = ("vertices", "facets", "normals", "offsets")
 
-    def __init__(self, vertices, facets, normals, offsets, euclidean_volume):
+    def __init__(self, vertices, facets, normals, offsets):
         self.vertices = np.asarray(vertices, dtype=float)
         self.facets = [tuple(f) for f in np.asarray(facets, dtype=np.intp).tolist()]
         self.normals = np.asarray(normals, dtype=float)
         self.offsets = np.asarray(offsets, dtype=float)
-        self.euclidean_volume = float(euclidean_volume)
         for a in (self.vertices, self.normals, self.offsets):
             a.setflags(write=False)
 
@@ -129,18 +128,19 @@ def _dedupe(points: np.ndarray) -> np.ndarray:
     return rows[np.sort(first)]
 
 
-def simplicial_perturbation(points, magnitude: float = 1e-9, seed: int = 0) -> np.ndarray:
-    """Move each point by at most `magnitude` to reach general position.
+_PERTURBATION = 1e-9  # Euclidean length of each point's general-position move
+
+
+def simplicial_perturbation(points) -> np.ndarray:
+    """Move each point by at most _PERTURBATION, seed 0, to general position.
 
     Points that a full perturbation would push out of the model ball are
     instead pulled radially inward by the same amount.
     """
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    rng = substream(seed, 0)
+    rng = substream(0, 0)
     shift = rng.standard_normal(pts.shape)
-    shift *= magnitude / np.maximum(
+    shift *= _PERTURBATION / np.maximum(
         np.linalg.norm(shift, axis=1, keepdims=True), 1e-300
     )
     moved = pts + shift
@@ -148,7 +148,7 @@ def simplicial_perturbation(points, magnitude: float = 1e-9, seed: int = 0) -> n
     bad = norms >= 1.0 - BOUNDARY_TOL
     if np.any(bad):
         base = np.linalg.norm(pts[bad], axis=1, keepdims=True)
-        scale = np.maximum(base - magnitude, 0.0) / np.maximum(base, 1e-300)
+        scale = np.maximum(base - _PERTURBATION, 0.0) / np.maximum(base, 1e-300)
         moved[bad] = pts[bad] * scale
     return moved
 
@@ -179,9 +179,7 @@ def convex_hull(points) -> Polytope:
     try:
         qh = spatial.ConvexHull(pts, qhull_options="Qt")
     except spatial.QhullError:
-        qh = spatial.ConvexHull(
-            simplicial_perturbation(pts, 1e-9), qhull_options="Qt"
-        )
+        qh = spatial.ConvexHull(simplicial_perturbation(pts), qhull_options="Qt")
         pts = qh.points
     order = np.sort(qh.vertices)
     remap = np.empty(len(pts), dtype=np.intp)
@@ -191,7 +189,7 @@ def convex_hull(points) -> Polytope:
     rank = np.lexsort(simplices.T[::-1])
     eq = qh.equations[rank]
     return Polytope(pts[order], simplices[rank], np.ascontiguousarray(eq[:, :-1]),
-                    -eq[:, -1], qh.volume)
+                    -eq[:, -1])
 
 
 def apex_triangulation(poly: Polytope, apex) -> list[Simplex]:

@@ -36,7 +36,6 @@ __all__ = [
     "dist",
     "dist_matrix",
     "cosh_dist_matrix",
-    "translate_to_origin",
     "translation_to",
     "boost_to",
     "random_isometry",
@@ -68,24 +67,8 @@ class KleinPoint:
         self.coords = c
         self.coords.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
     def __repr__(self):
         return f"KleinPoint({self.coords.tolist()})"
-
-    def __eq__(self, other):
-        return isinstance(other, KleinPoint) and np.array_equal(
-            self.coords, other.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords.tobytes())
 
 
 # numpy adds a row of fewer than 8 entries left to right, from +0.0; from 8
@@ -129,6 +112,12 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 2..{_MAX_DIM}, got {n}")
 
 
+def _check_radius(r) -> None:
+    """Reject a ball radius that is not finite and positive, NaN included."""
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError("radius must be finite and positive")
+
+
 def _check_points(c: np.ndarray, ideal: bool = False) -> None:
     """Reject rows (last axis) that are not finite interior Klein points.
 
@@ -165,10 +154,6 @@ class IdealPoint:
             raise ValueError("direction must be a nonzero finite vector")
         self.direction = d / nrm
         self.direction.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.direction.size
 
     def __repr__(self):
         return f"IdealPoint({self.direction.tolist()})"
@@ -244,8 +229,7 @@ def _lift(pts: np.ndarray) -> np.ndarray:
 class Isometry:
     """Hyperbolic isometry stored as a Lorentz matrix on hyperboloid lifts.
 
-    The matrix M preserves the Minkowski form eta = diag(-1, 1, ..., 1),
-    so its inverse is eta M^T eta and never needs a linear solve.
+    The matrix M preserves the Minkowski form eta = diag(-1, 1, ..., 1).
     """
 
     __slots__ = ("matrix",)
@@ -259,25 +243,13 @@ class Isometry:
         self.matrix = m
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0] - 1
-
     def apply_array(self, pts: np.ndarray) -> np.ndarray:
         X = _lift(pts) @ self.matrix.T
         return X[:, 1:] / X[:, 0:1]
 
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Isometry acting as self after other."""
-        return Isometry(self.matrix @ other.matrix)
-
-    def inverse(self) -> "Isometry":
-        eta = np.diag([-1.0] + [1.0] * self.dim)
-        return Isometry(eta @ self.matrix.T @ eta)
-
 
 def translation_to(p) -> Isometry:
-    """The hyperbolic translation (Lorentz boost) taking the origin to p."""
+    """The Lorentz boost taking the origin to p; translation_to(-p) inverts it."""
     c = as_coords(p)
     _check_points(c)
     n = c.size
@@ -319,11 +291,6 @@ def boost_to(centers, offsets) -> np.ndarray:
     return (s * x + (1.0 + cx / (1.0 + s)) * c) / (1.0 + cx)
 
 
-def translate_to_origin(p) -> Isometry:
-    """The isometry mapping p to the origin (inverse boost)."""
-    return translation_to(p).inverse()
-
-
 def random_isometry(n: int, seed: int) -> Isometry:
     """Seeded random isometry: rotation, then a translation to Klein norm < 0.7."""
     rng = substream(seed, 0)
@@ -336,7 +303,7 @@ def random_isometry(n: int, seed: int) -> Isometry:
     u = rng.standard_normal(n)
     u /= np.linalg.norm(u)
     target = u * 0.7 * rng.uniform() ** (1.0 / n)
-    return translation_to(target).compose(Isometry(rot))
+    return Isometry(translation_to(target).matrix @ rot)
 
 
 def unit_sphere_area(k: int) -> float:
@@ -426,8 +393,7 @@ def ball_volume(n: int, r: float) -> float:
     oracles, not as the implementation).
     """
     _check_dimension(n)
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     val, _ = integrate.quad(
         lambda t: math.sinh(t) ** (n - 1), 0.0, r, epsabs=0.0, epsrel=1e-10, limit=200
     )
@@ -445,8 +411,7 @@ def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:
     stability).  Points that round onto the boundary sphere are rejected
     as KleinPoint rejects them.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     if count < 1:
         raise ValueError("count must be >= 1")
     c = np.asarray(centers, dtype=float)

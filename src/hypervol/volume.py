@@ -49,7 +49,7 @@ from .klein import (
     as_coords,
     density_array,
     sinh_power_integral,
-    translate_to_origin,
+    translation_to,
     unit_sphere_area,
 )
 from .hull import Polytope, Simplex, affine_rank, apex_triangulation
@@ -298,7 +298,7 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
     evaluations, may exceed the budget.  Flags low_confidence when the
     tolerance is missed.
     """
-    mapped = translate_to_origin(center).apply_array(verts)
+    mapped = translation_to(-center).apply_array(verts)
     cells = mapped[np.asarray(facets)]  # (F, n, n): simplicial facets
     _, _, vh = np.linalg.svd(cells[:, 1:] - cells[:, :1])
     h = np.abs(np.einsum("fn,fn->f", vh[:, -1], cells[:, 0]))
@@ -356,7 +356,7 @@ def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
     over the value; small bodies, where the cancellation is deep, get
     low_confidence past the 1e-4 that quadrature is held to.
     """
-    mapped = translate_to_origin(center).apply_array(verts)
+    mapped = translation_to(-center).apply_array(verts)
     value, magnitude = _orthoscheme_sum(mapped[np.asarray(facets)])
     value = max(value, 0.0)
     achieved = _EXACT_3D_ROUNDING * magnitude / max(value, 1e-300)

@@ -72,10 +72,31 @@ def ideal_section(n: int, phi: float, apex_radius: float = 1.0):
 # ---------------------------------------------------------------------------
 # boundary rays
 
+def _grazing_endpoints(poly, y, xh):
+    """Far endpoints in the hull of the grazing rays from xh toward rows y.
+
+    The reference clip: each ray is cut at the first plane it crosses among
+    the facets that do not pass through xh; the facets through xh cannot
+    cut it at a positive length.
+    """
+    d = y - xh
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    slack = poly.offsets - poly.normals @ xh
+    rest = slack > 1e-9 * (1.0 + np.abs(poly.offsets))
+    denom = poly.normals[rest] @ d.T
+    with np.errstate(divide="ignore"):
+        t = np.where(denom > 1e-12, slack[rest][:, None] / denom, np.inf)
+    t_far = t.min(axis=0)
+    assert np.all(np.isfinite(t_far)) and np.all(t_far > 1e-12)
+    return xh + t_far[:, None] * d
+
+
 def test_boundary_ray_square_geometry():
     poly = convex_hull(SQUARE)
-    y, z, _, _ = boundary_rays(poly, np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))
+    y, xh = boundary_rays(poly, np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))
+    assert np.array_equal(xh, [R, 0.0])
     # grazing ray runs along the edge toward the adjacent vertex
+    z = _grazing_endpoints(poly, y, xh)
     assert np.allclose(z[0], [0.0, R], atol=1e-9)
     assert np.linalg.norm(y[0]) == pytest.approx(1.0, abs=1e-12)
     # y continues the same edge line x + y = R out to the sphere
@@ -86,12 +107,15 @@ def test_boundary_rays_batch_matches_singles():
     poly = convex_hull(SQUARE)
     x = np.array([0.0, 1.0])
     thetas = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    y, z, t_far, t_sphere = boundary_rays(poly, x, thetas)
-    assert np.all(t_far <= t_sphere + 1e-12)
+    y, xh = boundary_rays(poly, x, thetas)
+    # the edge leaves the hull before it reaches the sphere
+    z = _grazing_endpoints(poly, y, xh)
+    assert np.all(np.linalg.norm(z - xh, axis=1)
+                  <= np.linalg.norm(y - xh, axis=1) + 1e-12)
     for k in range(2):
-        yk, zk, _, _ = boundary_rays(poly, x, thetas[k:k + 1])
+        yk, xhk = boundary_rays(poly, x, thetas[k:k + 1])
         assert np.allclose(y[k], yk[0], atol=1e-12)
-        assert np.allclose(z[k], zk[0], atol=1e-12)
+        assert np.array_equal(xh, xhk)
 
 
 def test_boundary_rays_requires_matching_vertex():
@@ -209,7 +233,7 @@ def test_cone_sections_square():
 def test_cone_volume_equals_triangle_areas_2d():
     poly = convex_hull(SQUARE)
     secs = cone_sections(poly, np.array([1.0, 0.0]), 16)
-    est = cone_volume(secs, 2)
+    est = cone_volume(secs)
     total = sum(
         triangle_area_2d(np.zeros(2), R * s.apex.direction, s.far_point)
         for s in secs
@@ -223,7 +247,7 @@ def test_cone_volume_requires_common_apex():
     a = cone_sections(poly, np.array([1.0, 0.0]), 16)
     b = cone_sections(poly, np.array([0.0, 1.0]), 16)
     with pytest.raises(ValueError):
-        cone_volume([a[0], b[0]], 2)
+        cone_volume([a[0], b[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +509,10 @@ def test_facet_decomposition_rejects_non_vertex_before_sampling(monkeypatch):
 def _tilde_oracle(poly, x, pts):
     """Reference membership in C~_x: one grazing ray per sample.
 
-    Each sample's section plane spans x and the sample; `boundary_rays`
-    gives the in-hull endpoint z of the plane's boundary edge at x, and the
-    sample is tested against the in-plane triangle conv(0, x, (x + z)/2).
+    Each sample's section plane spans x and the sample; the grazing ray
+    from `boundary_rays`, clipped to the hull, ends at the in-hull endpoint
+    z of the plane's boundary edge at x, and the sample is tested against
+    the in-plane triangle conv(0, x, (x + z)/2).
     Returns the verdicts and each sample's distance to the nearest line of
     its triangle.
     """
@@ -495,7 +520,8 @@ def _tilde_oracle(poly, x, pts):
     a = pts @ u
     ortho = pts - np.outer(a, u)
     b = np.linalg.norm(ortho, axis=1)
-    _, z, _, _ = boundary_rays(poly, u, ortho / b[:, None])
+    y, xh = boundary_rays(poly, u, ortho / b[:, None])
+    z = _grazing_endpoints(poly, y, xh)
     za = z @ u
     zb = np.linalg.norm(z - np.outer(za, u), axis=1)
     xa = np.linalg.norm(x)

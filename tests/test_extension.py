@@ -44,9 +44,28 @@ def chain_points(n: int, count: int, step: float) -> np.ndarray:
 
 def test_packing_result_validation():
     pts = chain_points(2, 3, 0.5)  # pairwise >= 0.5 apart
-    PackingResult(pts, 0.4, 3)
+    PackingResult(pts, 0.4)
     with pytest.raises(ValueError):
-        PackingResult(pts, 0.6, 3)  # adjacent pairs are only 0.5 apart
+        PackingResult(pts, 0.6)  # adjacent pairs are only 0.5 apart
+
+
+_CLOUD = generate_points("uniform-ball", 2, 10, 1)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5])
+@pytest.mark.parametrize("call", [
+    lambda r: greedy_packing(_CLOUD, r),
+    lambda r: PackingResult(_CLOUD[:1], r),
+    lambda r: ball_volume(2, r),
+    lambda r: ball_boundary_array(_CLOUD, r, 4, 0),
+    lambda r: UnionOfBalls(_CLOUD, r),
+], ids=["greedy_packing", "PackingResult", "ball_volume",
+        "ball_boundary_array", "UnionOfBalls"])
+def test_radius_must_be_finite_and_positive(call, radius):
+    # NaN fails every comparison: greedy_packing once returned a one-center
+    # "maximal" packing for it, and ball_volume an area of 0
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        call(radius)
 
 
 def test_greedy_packing_separation_and_maximality():

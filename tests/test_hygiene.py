@@ -1,7 +1,8 @@
-"""Source hygiene: every module-level import, private definition and
-public name is used."""
+"""Source hygiene: every module-level import, private definition, public
+name and class member is used."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -27,6 +28,12 @@ UNREACHED_ALLOWED = {
     # the chart dispatcher: the polar/uv cross-check of the section
     # integral, the test that the two charts agree, runs through it
     "section_integral",
+}
+
+# Class members ("Class.member") kept although nothing in REACHING reads them.
+UNREAD_MEMBERS_ALLOWED = {
+    # the payload of the exception, for callers that catch it
+    "DegenerateHullError.affine_rank",
 }
 
 
@@ -62,8 +69,8 @@ def test_module_level_imports_are_used(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-def _names_outside(tree, skip):
-    """Names and attributes read anywhere in tree except inside `skip`.
+def _reads_outside(tree, skip):
+    """Name and Attribute nodes read anywhere in tree except inside `skip`.
 
     Only reads count: the binding `MC_CHUNK = 65536` does not use MC_CHUNK.
     """
@@ -72,11 +79,15 @@ def _names_outside(tree, skip):
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def _names_outside(tree, skip):
+    """Names and attributes read anywhere in tree except inside `skip`."""
+    for node in _reads_outside(tree, skip):
+        yield node.id if isinstance(node, ast.Name) else node.attr
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -118,3 +129,47 @@ def test_package_reexports_are_public():
         if alias.name not in _all_names(TREES[SRC / f"{node.module}.py"])
     ]
     assert not stray, f"hypervol re-exports names missing from __all__: {stray}"
+
+
+def _attribute_reads(tree):
+    """How often each attribute name is read (x.name) in tree."""
+    return collections.Counter(node.attr for node in _reads_outside(tree, None)
+                               if isinstance(node, ast.Attribute))
+
+
+def _class_members(cls):
+    """(name, own definition or None) for what a class defines: methods and
+    properties, __slots__ entries, dataclass fields and self.x stores."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, None
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__slots__" for t in node.targets)):
+            for name in ast.literal_eval(node.value):
+                yield name, None
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"):
+            yield node.attr, None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_class_members_are_read(path):
+    reads = sum(map(_attribute_reads, REACHING.values()), collections.Counter())
+    unread = set()
+    for cls in TREES[path].body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for name, own in _class_members(cls):
+            if (name.startswith("__") and name.endswith("__")
+                    or f"{cls.name}.{name}" in UNREAD_MEMBERS_ALLOWED):
+                continue
+            # a read inside the member's own definition does not count
+            own_reads = _attribute_reads(own)[name] if own else 0
+            if reads[name] <= own_reads:
+                unread.add(f"{cls.name}.{name}")
+    assert not unread, (
+        f"{path.name} defines class members that nothing reads by name: "
+        f"{sorted(unread)}")

@@ -170,15 +170,16 @@ def test_isometry_preserves_distances():
         assert abs(before - after) < 1e-10
 
 
-def test_isometry_compose_inverse():
-    iso = hv.random_isometry(3, seed=4)
-    other = hv.random_isometry(3, seed=5)
-    pts = np.random.default_rng(6).uniform(-0.4, 0.4, (8, 3))
-    chained = other.compose(iso).apply_array(pts)
-    stepwise = other.apply_array(iso.apply_array(pts))
-    assert_allclose(chained, stepwise, atol=1e-12)
-    back = iso.inverse().apply_array(iso.apply_array(pts))
-    assert_allclose(back, pts, atol=1e-12)
+def test_translation_to_negative_point_inverts_translation():
+    # the volume routes recentre a body at p with translation_to(-p)
+    rng = np.random.default_rng(6)
+    for n in (2, 3, 5):
+        p = rng.uniform(-0.4, 0.4, n)
+        pts = rng.uniform(-0.4, 0.4, (8, n))
+        assert_allclose(translation_to(-p).apply_array(p[None])[0], 0.0,
+                        atol=1e-14)
+        back = translation_to(-p).apply_array(translation_to(p).apply_array(pts))
+        assert_allclose(back, pts, atol=1e-12)
 
 
 def test_random_isometry_deterministic():

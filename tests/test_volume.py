@@ -274,7 +274,7 @@ def test_degenerate_polytope_volume_zero():
     verts = np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.0, 0.2, 0.0],
                       [0.1, 0.1, 0.0]])
     poly = Polytope(verts, [(0, 1, 2)], np.array([[0.0, 0.0, 1.0]]),
-                    np.array([0.0]), 0.0)
+                    np.array([0.0]))
     est = polytope_volume(poly)
     assert est.value == 0.0
 
@@ -290,7 +290,7 @@ def test_degenerate_polytope_checks_arguments_first(method, budget, match):
     from hypervol.hull import Polytope
 
     flat = Polytope([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], [(0, 2)],
-                    np.array([[0.0, 1.0]]), np.array([0.0]), 0.0)
+                    np.array([[0.0, 1.0]]), np.array([0.0]))
     with pytest.raises(ValueError, match=match):
         polytope_volume(flat, method, budget=budget)
 
