@@ -62,8 +62,7 @@ _CLOUD = generate_points("uniform-ball", 2, 10, 1)
 ], ids=["greedy_packing", "PackingResult", "ball_volume",
         "ball_boundary_array", "UnionOfBalls"])
 def test_radius_must_be_finite_and_positive(call, radius):
-    # NaN fails every comparison: greedy_packing once returned a one-center
-    # "maximal" packing for it, and ball_volume an area of 0
+    # NaN fails every comparison, so a plain `r <= 0` test lets it through
     with pytest.raises(ValueError, match="radius must be finite and positive"):
         call(radius)
 

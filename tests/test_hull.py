@@ -13,8 +13,8 @@ from scipy import optimize, spatial
 
 from hypervol import (
     DegenerateHullError,
-    Polytope,
     KleinPoint,
+    Polytope,
     Simplex,
     affine_rank,
     apex_triangulation,
