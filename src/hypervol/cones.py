@@ -50,7 +50,7 @@ from .klein import (
     unit_sphere_area,
 )
 from .hull import Polytope, Simplex
-from .rng import _chunk_sums
+from .rng import _chunk_sums, _mean_se
 from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _dirichlet_draw
 
 __all__ = [
@@ -679,9 +679,7 @@ def verify_facet_decomposition(
         for sw in sum_w_parts
     ]
     sum_parts = float(sum(p.value for p in parts))
-    mean_t = sum_t / budget
-    var_t = max(sum_t2 / budget - mean_t * mean_t, 0.0)
-    sem_t = math.sqrt(var_t / budget)
+    mean_t, sem_t = _mean_se(sum_t, sum_t2, budget)
     margin = mean_t / sem_t if sem_t > 0 else math.inf
     ratio = vol_d.value / sum_parts if sum_parts > 0 else math.inf
     return {

@@ -54,10 +54,6 @@ class Simplex:
         self.vertices.setflags(write=False)
 
     @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
     def k(self) -> int:
         """Intrinsic dimension (vertex count minus one)."""
         return self.vertices.shape[0] - 1

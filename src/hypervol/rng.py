@@ -10,7 +10,8 @@ Every Monte Carlo estimate goes through `_chunk_sums`, which fixes the
 chunk contract: of `samples` draws in chunks of `chunk`, chunk c draws
 min(chunk, samples - c * chunk) samples from substream(seed, c), and the
 per-chunk sum arrays are added in chunk order.  The result is therefore
-bitwise identical for any worker count.
+bitwise identical for any worker count.  `_mean_se` turns a sum and a sum
+of squares into the mean and its standard error.
 
 The parallelism of a Monte Carlo call is its `workers` alone: while any
 `_chunk_sums` call runs, BLAS runs on one thread.  The chunks' matrix
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -124,3 +126,10 @@ def _chunk_sums(seed: int, samples: int, chunk: int, stats, workers: int = 1):
         for part in parts:
             total = total + part
     return total
+
+
+def _mean_se(total: float, total_sq: float, samples: int) -> tuple[float, float]:
+    """Sample mean and its standard error from a sum and a sum of squares."""
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)

@@ -42,6 +42,7 @@ from scipy import special
 
 from .klein import (
     BOUNDARY_TOL,
+    _check_dimension,
     _check_points,
     _radial_table,
     _row_sum,
@@ -53,7 +54,7 @@ from .klein import (
     unit_sphere_area,
 )
 from .hull import Polytope, Simplex, affine_rank, apex_triangulation
-from .rng import _chunk_sums
+from .rng import _chunk_sums, _mean_se
 
 __all__ = [
     "VolumeEstimate",
@@ -107,6 +108,7 @@ class Region:
     dim: int
 
     def __post_init__(self):
+        _check_dimension(self.dim)
         if not 0 < self.bounding_radius < 1:
             raise ValueError("bounding_radius must lie in (0, 1)")
 
@@ -263,10 +265,8 @@ def _simplex_mc(verts: np.ndarray, samples: int, seed: int) -> VolumeEstimate:
         _, w = _dirichlet_draw(rng, verts, m)
         return np.array([w.sum(), (w * w).sum()])
 
-    total, total_sq = _chunk_sums(seed, samples, MC_CHUNK, stats).tolist()
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    se = math.sqrt(var / samples)
+    mean, se = _mean_se(*_chunk_sums(seed, samples, MC_CHUNK, stats).tolist(),
+                        samples)
     return VolumeEstimate(
         value=vol_e * mean,
         std_error=vol_e * se,
@@ -487,38 +487,29 @@ def polytope_volume(
 # region Monte Carlo
 
 def _segment_locator(cdf: np.ndarray):
-    """`locate(u)` = clip(searchsorted(cdf, u, "right") - 1, 0, last), read
-    through a guide table (Chen & Asau, AIIE Trans. 6, 1974).
+    """`locate(u)` = clip(searchsorted(cdf, u, "right") - 1, 0, last) on a
+    nondecreasing table, read through a guide table (Chen & Asau, AIIE
+    Trans. 6, 1974).
 
     A guide of 4 entries per node maps each u-bin to a node at least one
-    below its first bracket; two steps up settle almost every draw.  A draw
-    is settled at k when every node up to k lies at or below u and every
-    node past k above it: then any binary search returns k + 1, whatever
-    keys it searched before.  The rest go to `np.searchsorted`.  Where the
-    table descends (radial tables do, in a few early segments, from n = 9
-    on), a binary search's answer also depends on the key searched just
-    before, so each run of unsettled draws is searched after the settled
-    draw that precedes it, which leaves the search in the state one call
-    over all of u would.
+    below its first bracket; two steps up settle almost every draw, at the
+    k with cdf[k] <= u < cdf[k + 1].  The rest go to `np.searchsorted`.
     """
     last = len(cdf) - 2
-    most_upto = np.maximum.accumulate(cdf)
-    least_past = np.minimum.accumulate(cdf[::-1])[::-1][1:]
     # a step never leaves the last segment
-    next_up = np.append(most_upto[1:-1], np.inf)
+    next_up = np.append(cdf[1:-1], np.inf)
     guide_size = 4 * len(cdf)
     scale = guide_size / float(cdf[-1])
     bins = np.arange(guide_size) * (float(cdf[-1]) / guide_size)
-    guide = np.clip(np.searchsorted(most_upto, bins, side="right") - 2,
+    guide = np.clip(np.searchsorted(cdf, bins, side="right") - 2,
                     0, last).astype(np.int32)
 
     def locate(u):
         k = guide[np.minimum((u * scale).astype(np.intp), guide_size - 1)]
         k += next_up[k] <= u
         k += next_up[k] <= u
-        unsettled = (most_upto[k] > u) | (u >= least_past[k])
+        unsettled = (cdf[k] > u) | (u >= next_up[k])
         if unsettled.any():
-            unsettled[:-1] |= unsettled[1:]  # and each one's predecessor
             idx = np.flatnonzero(unsettled)
             k[idx] = np.clip(np.searchsorted(cdf, u[idx], side="right") - 1,
                              0, last)
@@ -527,84 +518,51 @@ def _segment_locator(cdf: np.ndarray):
     return locate
 
 
-def _radial_sampler(n: int, big_r: float):
-    """Inverse-CDF table for hyperbolic-radial sampling up to radius big_r.
-
-    The inverse is piecewise linear, and the exact density of the sampled
-    radius is therefore known per segment; reweighting by the true
-    sinh^(n-1) density keeps the estimator unbiased despite the table.
-    """
-    xs, cdf = _radial_table(n, math.atanh(big_r))
-    total = float(cdf[-1])
-    seg_dx = np.diff(xs)
-    seg_df = np.maximum(np.diff(cdf), 1e-300)
-    seg_pdf = np.maximum(seg_df / seg_dx / total, 1e-300)
-    locate = _segment_locator(cdf)
-
-    def draw(rng, m):
-        u = rng.uniform(size=m) * total
-        k = locate(u)
-        w = xs[k] + (u - cdf[k]) * seg_dx[k] / seg_df[k]
-        weight = unit_sphere_area(n - 1) * np.sinh(w) ** (n - 1) / seg_pdf[k]
-        return w, weight
-
-    return draw, total * unit_sphere_area(n - 1)
-
-
 def region_volume_mc(
     region: Region, samples: int = _DEFAULT_MC_SAMPLES, seed: int = 0,
     workers: int = 1,
 ) -> VolumeEstimate:
     """Monte Carlo hyperbolic volume of a membership region.
 
-    For bounding radii up to 0.99: Euclidean-uniform proposals in the
-    bounding ball weighted by the density.  Beyond that the density is too
-    singular and proposals switch to hyperbolic-radial sampling (uniform
-    in hyperbolic measure up to table reweighting), whose per-sample
-    contribution is bounded.  Zero hits return value 0 with a rule-of-three
-    standard error and the low_confidence flag.  The estimate is identical
-    for any `workers` value (see `rng._chunk_sums`).
+    Proposals are uniform in direction and hyperbolic-radial up to the
+    bounding radius: the radius is drawn by inverting `klein._radial_table`
+    piecewise linearly, so the density of the drawn radius is known on each
+    segment, and reweighting by the true sinh^(n-1) density keeps the
+    estimator unbiased despite the table.  Each contribution is bounded,
+    however close to the boundary sphere the bounding radius lies.  Zero
+    hits return value 0 with a rule-of-three standard error and the
+    low_confidence flag.  The estimate is identical for any `workers` value
+    (see `rng._chunk_sums`).
     """
     n = region.dim
-    big_r = region.bounding_radius
-    near_boundary = big_r > 0.99
-    if near_boundary:
-        draw, vol_total = _radial_sampler(n, big_r)
-    else:
-        vol_e = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * big_r ** n
-        vol_total = unit_sphere_area(n - 1) * float(
-            sinh_power_integral(n - 1, math.atanh(big_r))
-        )
+    area = unit_sphere_area(n - 1)
+    xs, cdf = _radial_table(n, math.atanh(region.bounding_radius))
+    total = float(cdf[-1])
+    seg_dx = np.diff(xs)
+    seg_df = np.maximum(np.diff(cdf), 1e-300)
+    seg_pdf = np.maximum(seg_df / seg_dx / total, 1e-300)
+    locate = _segment_locator(cdf)
 
     def stats(rng, m):
         dirs = _uniform_directions(rng, m, n)
-        if near_boundary:
-            w, weight = draw(rng, m)
-            pts = np.tanh(w)[:, None] * dirs
-            contrib = weight
-        else:
-            r = big_r * rng.uniform(size=m) ** (1.0 / n)
-            pts = r[:, None] * dirs
-            contrib = vol_e * density_array(pts)
-        mask = np.asarray(region.membership(pts), dtype=bool)
-        c_vals = np.where(mask, contrib, 0.0)
+        u = rng.uniform(size=m) * total
+        k = locate(u)
+        w = xs[k] + (u - cdf[k]) * seg_dx[k] / seg_df[k]
+        weight = area * np.sinh(w) ** (n - 1) / seg_pdf[k]
+        mask = np.asarray(region.membership(np.tanh(w)[:, None] * dirs),
+                          dtype=bool)
+        c_vals = np.where(mask, weight, 0.0)
         return np.array([c_vals.sum(), (c_vals * c_vals).sum(), mask.sum()])
 
-    total, total_sq, hits = _chunk_sums(seed, samples, MC_CHUNK, stats,
+    c_sum, c_sum_sq, hits = _chunk_sums(seed, samples, MC_CHUNK, stats,
                                         workers).tolist()
     if hits == 0:
         return VolumeEstimate(
-            value=0.0, std_error=vol_total * 3.0 / samples,
+            value=0.0, std_error=total * area * 3.0 / samples,
             evaluations=samples, method="monte_carlo", low_confidence=True,
         )
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return VolumeEstimate(
-        value=mean,
-        std_error=math.sqrt(var / samples),
-        evaluations=samples,
-        method="monte_carlo",
-    )
+    mean, se = _mean_se(c_sum, c_sum_sq, samples)
+    return VolumeEstimate(mean, se, samples, "monte_carlo")
 
 
 # ---------------------------------------------------------------------------

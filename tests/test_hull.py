@@ -174,7 +174,6 @@ def test_hull_dims_2_through_6():
 
 def test_simplex_dimensions_and_volume():
     tri = Simplex(np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]]))
-    assert tri.dim == 2
     assert tri.k == 2
     assert tri.euclidean_volume() == pytest.approx(0.06, rel=1e-14)
 

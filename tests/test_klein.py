@@ -269,6 +269,8 @@ def test_one_dimension_limit(n, tmp_path):
         lambda: translation_to(np.zeros(n)),
         lambda: hv.simplex_volume(np.zeros((n + 1, n)), "monte_carlo"),
         lambda: hv.greedy_packing(np.zeros((1, n)), 0.5),
+        lambda: hv.Region(membership=lambda p: p[:, 0] < 0, bounding_radius=0.5,
+                          dim=n),
     ]
     for call in calls:
         with pytest.raises(ValueError) as exc:

@@ -24,6 +24,7 @@ from hypervol import (
     generate_points,
     polytope_volume,
     random_isometry,
+    UnionOfBalls,
     region_volume_mc,
     simplex_volume,
     triangle_area_2d,
@@ -144,7 +145,7 @@ def test_unknown_method_rejected():
 
 
 def test_region_mc_ball_closed_form():
-    # Euclidean-proposal branch (bounding radius below the switch)
+    # a region that fills its bounding ball
     r_e = 0.7
     region = Region(
         membership=lambda pts: np.linalg.norm(pts, axis=1) <= r_e,
@@ -157,7 +158,7 @@ def test_region_mc_ball_closed_form():
 
 
 def test_region_mc_radial_branch_ball():
-    # bounding radius past 0.99 exercises the hyperbolic-radial sampler
+    # near the boundary sphere, where the density is most singular
     r_e = 0.995
     region = Region(
         membership=lambda pts: np.linalg.norm(pts, axis=1) <= r_e,
@@ -174,11 +175,21 @@ def _searchsorted_segment(cdf, u):
     return np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
 
 
+_TABLE_RADII = (0.9, 0.99, 0.995, 0.9999, 1 - 1e-9, 1 - 1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_radial_table_is_nondecreasing(n):
+    # from n = 9 on, the raw sinh-power integrals dip in a few early nodes
+    for r_e in _TABLE_RADII:
+        _, cdf = _radial_table(n, math.atanh(r_e))
+        assert np.all(np.diff(cdf) >= 0.0)
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_guide_table_segments_match_binary_search(n):
-    # n = 9 and 11..16 have tables with a few descending segments
     rng = np.random.default_rng(n)
-    for r_e in (0.99, 0.995, 0.9999, 1 - 1e-9, 1 - 1e-12):
+    for r_e in _TABLE_RADII:
         _, cdf = _radial_table(n, math.atanh(r_e))
         u = rng.uniform(size=200_000) * float(cdf[-1])
         u[:4] = [0.0, float(cdf[-1]), np.nextafter(cdf[-1], 0.0), cdf[1]]
@@ -186,27 +197,30 @@ def test_guide_table_segments_match_binary_search(n):
         assert np.array_equal(got, _searchsorted_segment(cdf, u))
 
 
-def test_guide_table_fallback_replays_binary_search():
-    # a long unsorted stretch and a spike above the end: most draws land
-    # where the binary search's answer depends on the keys searched before
-    rng = np.random.default_rng(3)
-    cdf = np.concatenate([[0.0], np.cumsum(rng.uniform(size=64))])
-    cdf[5:40] = cdf[5:40][::-1].copy()
-    cdf[20] = 2.0 * cdf[-1]
-    locate = _segment_locator(cdf)
-    for _ in range(20):
-        u = rng.uniform(size=5_000) * cdf[-1]
-        assert np.array_equal(locate(u), _searchsorted_segment(cdf, u))
-
-
-def test_region_mc_seeded_loop_is_calibrated():
-    # repeated seeds: the closed form must land within 4 sigma every time
-    r_e = 0.6
-    exact = ball_volume(3, math.atanh(r_e))
+def _centred_ball(n):
+    # a centred ball of Euclidean radius 0.6 in a bounding radius of 0.8
     region = Region(
-        membership=lambda pts: np.linalg.norm(pts, axis=1) <= r_e,
-        bounding_radius=0.8, dim=3,
+        membership=lambda pts: np.linalg.norm(pts, axis=1) <= 0.6,
+        bounding_radius=0.8, dim=n,
     )
+    return region, ball_volume(n, math.atanh(0.6))
+
+
+def _off_centre_ball(n):
+    # one ball of radius 1.2 around a point at Euclidean norm 0.4: its
+    # bounding radius tanh(atanh 0.4 + 1.2) = 0.925 is hit only in part
+    centre = np.full((1, n), 0.4 / math.sqrt(n))
+    region = UnionOfBalls(centre, 1.2).region()
+    assert 0.9 < region.bounding_radius < 0.99
+    return region, ball_volume(n, 1.2)
+
+
+@pytest.mark.parametrize("case, n", [
+    (_centred_ball, 3), (_off_centre_ball, 2), (_off_centre_ball, 3),
+], ids=["centred-3", "off_centre-2", "off_centre-3"])
+def test_region_mc_seeded_loop_is_calibrated(case, n):
+    # repeated seeds: the closed form must land within 4 sigma every time
+    region, exact = case(n)
     for seed in range(6):
         est = region_volume_mc(region, samples=120_000, seed=seed)
         assert abs(est.value - exact) < 4 * est.std_error
