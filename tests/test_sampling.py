@@ -75,7 +75,7 @@ def test_polytope_mc_pinned():
 
 
 @pytest.mark.parametrize("bounding_radius, value, std_error", [
-    (0.9, 1.2202425526372074, 0.012470448635199602),
+    (0.9, 1.2146215143308665, 0.018298863253530608),
     (0.995, 1.0769979963310614, 0.09663160915261858),
 ])
 @pytest.mark.parametrize("workers", [1, 3])
@@ -91,7 +91,7 @@ def test_region_mc_pinned(bounding_radius, value, std_error, workers):
      13.102870349456008, 0.05751507210218059),
     # criterion-8 instance 45: bounding radius 0.975
     (("uniform-ball", 3, 10, 845), 0.7, 600_000, 845,
-     12.863560102828268, 0.057666735347710996),
+     12.725236889655015, 0.045553426004890256),
 ])
 def test_extension_volume_pinned(points, eps, samples, seed, value, std_error):
     family, n, count, point_seed = points
@@ -132,7 +132,7 @@ def test_theorem2_check_csv_pinned():
     header, rows, _, _ = cmd_theorem2_check(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "9ab30a04e864079381845417022bef9bebba78b48dd91d8c64524b6f780299d4")
+        "83c01dac991d8d38e955f71a4484d1ef34cb75937fda3d944429ad0b89894238")
 
 
 def test_theorem1_sweep_csv_pinned():
