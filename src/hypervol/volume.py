@@ -265,8 +265,8 @@ def _simplex_mc(verts: np.ndarray, samples: int, seed: int) -> VolumeEstimate:
         _, w = _dirichlet_draw(rng, verts, m)
         return np.array([w.sum(), (w * w).sum()])
 
-    mean, se = _mean_se(*_chunk_sums(seed, samples, MC_CHUNK, stats).tolist(),
-                        samples)
+    total, total_sq = _chunk_sums(seed, samples, MC_CHUNK, stats).tolist()
+    mean, se = _mean_se(total, total_sq, samples)
     return VolumeEstimate(
         value=vol_e * mean,
         std_error=vol_e * se,
