@@ -18,13 +18,13 @@ from hypervol import (
     IdealPoint,
     Region,
     Simplex,
+    UnionOfBalls,
     VolumeEstimate,
     ball_volume,
     convex_hull,
     generate_points,
     polytope_volume,
     random_isometry,
-    UnionOfBalls,
     region_volume_mc,
     simplex_volume,
     triangle_area_2d,
