@@ -207,12 +207,21 @@ def regular_simplex(n: int, pairwise: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # command: hull volume growth in N
 
+# volume of the regular ideal tetrahedron, 3 L(pi/3): no hyperbolic
+# tetrahedron is larger (Haagerup & Munkholm, Acta Math. 147, 1981)
+V3_IDEAL = 1.0149416064096536
+
+
 def cmd_theorem1_sweep(config: RunConfig):
     """Hull volume versus point count for the named families.
 
     Sublinearity shows up as a log-log slope at most 1.05 over the top
     decade of N, the per-point volume peaking before the largest N, and a
     tail of Vol/N that does not grow by more than 5% per grid step.
+    Fan bounds are checked too: a planar `uniform-ideal` hull has area at
+    most (N - 2) pi, and every 3D hull with V vertices at most
+    (2V - 7) v3, since coning it from one vertex gives at most 2V - 7
+    tetrahedra.
     """
     header = [
         "n", "family", "N", "replicate", "seed", "budget",
@@ -247,6 +256,14 @@ def cmd_theorem1_sweep(config: RunConfig):
                         failures.append(
                             f"2D fan bound violated: N={size} rep={rep} "
                             f"vol={est.value!r} > (N-2)pi={bound!r}"
+                        )
+                if n == 3:
+                    verts = poly.vertices.shape[0]
+                    bound = (2 * verts - 7) * V3_IDEAL
+                    if est.value > bound + 1e-9:
+                        failures.append(
+                            f"3D fan bound violated: N={size} rep={rep} "
+                            f"V={verts} vol={est.value!r} > (2V-7)v3={bound!r}"
                         )
     summary = {"slopes": {}, "ratio_peak": {}}
     for (n, family), per_n in stats.items():
@@ -284,22 +301,25 @@ def cmd_theorem2_check(config: RunConfig):
     Families: a two-point separation sweep (with the exact Euclidean
     plane companion for contrast), regularly rotated clusters, a geodesic
     chain, and a dense ball.  Cluster rows must have ratio >= 1 (the
-    union is far from convex); dense-ball rows stay near 1.
+    union is far from convex); dense-ball rows stay near 1.  Each row
+    names the route of both sides: planar rows are closed forms
+    ("kept_arcs_hull", "kept_arcs_union"), spatial rows a ring hull and
+    Monte Carlo (see `theorem2_ratio`).
     """
     header = [
         "instance", "family", "n", "epsilon", "d", "seed", "budget",
         "mc_samples", "hull_volume", "extension_volume", "ratio",
-        "hull_method", "low_confidence",
+        "hull_method", "union_method", "low_confidence",
     ]
     rows: list[list] = []
     failures: list[str] = []
     eps = config.epsilon
     inst = 0
 
-    def row(family, n, d, seed_r, hull_v, ext_v, r, method, low):
+    def row(family, n, d, seed_r, hull_v, ext_v, r, hull_m, union_m, low):
         nonlocal inst
         rows.append([inst, family, n, eps, d, seed_r, config.budget,
-                     config.mc_samples, hull_v, ext_v, r, method, low])
+                     config.mc_samples, hull_v, ext_v, r, hull_m, union_m, low])
         inst += 1
         return r
 
@@ -310,7 +330,8 @@ def cmd_theorem2_check(config: RunConfig):
             seed=seed_r, workers=config.workers,
         )
         return row(family, n, d, seed_r, rep["hull"].value, rep["union"].value,
-                   rep["ratio"], rep["hull"].method, rep["low_confidence"])
+                   rep["ratio"], rep["hull"].method, rep["union"].method,
+                   rep["low_confidence"])
 
     two_point = []
     for d in config.d_values:
@@ -324,7 +345,7 @@ def cmd_theorem2_check(config: RunConfig):
             continue
         row("two-point-euclidean", 2, float(d), _derive_seed(config.seed, 2, inst),
             math.pi * eps * eps + 2.0 * eps * d, 2.0 * math.pi * eps * eps,
-            euclidean_capsule_ratio(d, eps), "closed_form", False)
+            euclidean_capsule_ratio(d, eps), "closed_form", "closed_form", False)
     cluster_ratios: dict[int, list[float]] = {}
     for n in config.dims:
         for k in range(config.instances):

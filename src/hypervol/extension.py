@@ -17,6 +17,7 @@ from .klein import (
     BOUNDARY_TOL,
     _check_points,
     _check_radius,
+    _row_sum,
     _row_sumsq,
     _uniform_directions,
     ball_boundary_array,
@@ -183,6 +184,158 @@ def sandwich_check(
     }
 
 
+# ---------------------------------------------------------------------------
+# planar closed forms: kept arcs of the eps-circles
+
+_TWO_PI = 2.0 * math.pi
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _kept_arcs(centers: np.ndarray, epsilon: float, scale: float):
+    """Arcs of each circle dB(q_i, eps) left after the cuts of the others.
+
+    For every k != i, the arc of half-width h_ik = arccos(scale *
+    tanh(d_ik / 2)) around the direction phi_ik of q_k seen from q_i is
+    cut away, where scale * tanh(d_ik / 2) < 1.  Angles are taken in the
+    frame that the boost from the origin to q_i carries: the Klein chord
+    direction q_k - q_i (exact for close centers) is mapped back through
+    the boost's differential, so the direction stays accurate however
+    close the two centers are.  tanh(d/2) is symmetrised, so the two
+    circles of a pair cut arcs of the same half-width, and their computed
+    crossing points agree to rounding even at near tangency, where h is
+    ill-conditioned.  A center equal to an earlier one (distance 0) is
+    dropped.  Each circle's cuts are split where they pass 2 pi, sorted,
+    and swept once; the gaps are the kept arcs.
+
+    Returns the owner, start and end angle in [0, 2 pi] of each kept arc
+    (an uncut circle keeps (0, 2 pi)), and kappa = max 1 / (1 - |q|^2),
+    the factor by which 1 - |q|^2 magnifies the rounding of the input.
+    """
+    c = np.asarray(centers, dtype=float)
+    n = c.shape[0]
+    s = np.sqrt(1.0 - _row_sumsq(c))
+    delta = c[None, :, :] - c[:, None, :]  # [i, k] = q_k - q_i
+    along = np.einsum("ij,ikj->ik", c, delta)
+    local = delta + (along / (s * (1.0 + s))[:, None])[:, :, None] * c[:, None, :]
+    sinh_d = np.hypot(local[..., 0], local[..., 1]) / s[None, :]
+    cosh_d = (1.0 - c @ c.T) / np.outer(s, s)
+    half = sinh_d / (1.0 + cosh_d)  # tanh(d/2)
+    half = 0.5 * (half + half.T)
+    np.fill_diagonal(half, np.inf)
+    dup = np.tril(half == 0.0).any(axis=1)
+    half[dup, :] = half[:, dup] = np.inf
+    x = scale * half
+    cut = x < 1.0
+    h = np.arccos(np.where(cut, x, 1.0))
+    phi = np.arctan2(local[..., 1], local[..., 0])
+    lo = np.where(cut, np.mod(phi - h, _TWO_PI), _TWO_PI)
+    hi = lo + 2.0 * h
+    wrap = hi > _TWO_PI
+    # a cut past 2 pi continues from 0; every row ends in a (2 pi, 2 pi)
+    # sentinel, so the last gap closes at 2 pi
+    cap = np.full((n, 1), _TWO_PI)
+    starts = np.concatenate([lo, np.where(wrap, 0.0, _TWO_PI), cap], axis=1)
+    ends = np.concatenate([np.minimum(hi, _TWO_PI),
+                           np.where(wrap, hi - _TWO_PI, _TWO_PI), cap], axis=1)
+    order = np.argsort(starts, axis=1, kind="stable")
+    starts = np.take_along_axis(starts, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(ends, order, axis=1), axis=1)
+    prev = np.concatenate([np.zeros((n, 1)), reach[:, :-1]], axis=1)
+    keep = (starts > prev) & ~dup[:, None]
+    owner = np.nonzero(keep)[0]
+    kappa = float(np.max(1.0 / (s * s)))
+    return owner, prev[keep], starts[keep], kappa
+
+
+def _arc_estimate(value: float, arcs: int, magnitude: float, kappa: float,
+                  epsilon: float, method: str) -> VolumeEstimate:
+    """A closed planar area with its rounding bound as `std_error`.
+
+    Rounding 1 - |q|^2 moves each arc end by a few u * kappa radians; the
+    arccos of the hull's cuts magnifies that by at most cosh(eps), and a
+    moved end moves the area by at most cosh(eps) per radian.  The bound
+    is 64 u kappa cosh(eps)^2 per kept arc (plus one), and u * arcs *
+    `magnitude` (the sum of |terms|) for the final sum.  It is a stated
+    bound, checked in the tests against the same areas in 50-digit
+    arithmetic.
+    """
+    bound = _UNIT_ROUNDOFF * (
+        64.0 * kappa * math.cosh(epsilon) ** 2 * (arcs + 1) + arcs * magnitude
+    )
+    return VolumeEstimate(value, bound, arcs, method,
+                          achieved_rel_tol=bound / value)
+
+
+def _planar_hull_area(points: np.ndarray, epsilon: float) -> VolumeEstimate:
+    """Area of Conv(A_eps) in the plane by Gauss-Bonnet over the kept arcs.
+
+    A point of dB(q_i, eps) at angle a lies on the hull's boundary exactly
+    when its tangent geodesic supports every other ball, that is when
+    cos(a - phi_ik) <= tanh(eps) tanh(d_ik / 2) for all k.  The boundary
+    is these arcs, of geodesic curvature coth(eps), joined by geodesic
+    segments with no corners, so the area is cosh(eps) * (sum of kept
+    angles) - 2 pi.  For two centers this is `two_ball_hull_area`.
+    """
+    _, lo, hi, kappa = _kept_arcs(points, epsilon, math.tanh(epsilon))
+    boundary = math.cosh(epsilon) * float(np.sum(hi - lo))
+    return _arc_estimate(boundary - _TWO_PI, lo.size, boundary + _TWO_PI,
+                         kappa, epsilon, "kept_arcs_hull")
+
+
+def _planar_union_area(points: np.ndarray, epsilon: float) -> VolumeEstimate:
+    """Area of the union of eps-discs in the plane from its boundary arcs.
+
+    Ball k covers the points of dB_i with cos(a - phi_ik) >= coth(eps)
+    tanh(d_ik / 2), an arc when d_ik < 2 eps; what is left of each circle
+    is the union's boundary, traversed with the union on its left, around
+    holes too.  On hyperboloid lifts, a kept arc P -> Q of angle theta on
+    circle i encloses with the origin O the signed area
+
+        Delta(O, P, Q) - Delta(C_i, P, Q) + (cosh(eps) - 1) theta,
+
+    where Delta(u, v, w) = 2 atan2(det[u, v, w], 1 - <u,v> - <v,w> - <w,u>)
+    is the signed area of a geodesic triangle: the fan triangle from O,
+    less the triangle from the center, plus the sector.  These add up to
+    the union's area over the closed boundary (the hyperbolic analogue of
+    Avis, Bhattacharya & Imai, "Computing the volume of the union of
+    spheres", The Visual Computer 3, 1988).  Delta(C_i, P, Q) depends
+    only on eps and theta, and <P, Q> on them too, so both are evaluated
+    from theta, as 2 atan2(t sin theta, 1 - t cos theta) with
+    t = tanh(eps/2)^2 and -<P, Q> = 1 + 2 sinh(eps)^2 sin(theta/2)^2.
+    An uncut circle adds 2 pi (cosh(eps) - 1); a covered one adds 0.
+    """
+    owner, lo, hi, kappa = _kept_arcs(points, epsilon, 1.0 / math.tanh(epsilon))
+    ch, sh = math.cosh(epsilon), math.sinh(epsilon)
+    whole = (hi - lo) == _TWO_PI
+    owner, lo, hi = owner[~whole], lo[~whole], hi[~whole]
+    theta = hi - lo
+    # lifts of the arc ends: the boost to q_i applied to
+    # (cosh eps, sinh eps cos a, sinh eps sin a)
+    c = points[owner]
+    x0 = 1.0 / np.sqrt(1.0 - _row_sumsq(c))
+    xs = c * x0[:, None]
+
+    def lift(angle):
+        e = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        xe = _row_sum(xs * e)
+        spatial = xs * ch + sh * (e + xs * (xe / (x0 + 1.0))[:, None])
+        return x0 * ch + sh * xe, spatial
+
+    p0, ps = lift(lo)
+    q0, qs = lift(hi)
+    sin_half = np.sin(0.5 * theta)
+    fan = 2.0 * np.arctan2(ps[:, 0] * qs[:, 1] - ps[:, 1] * qs[:, 0],
+                           2.0 + p0 + q0 + 2.0 * (sh * sin_half) ** 2)
+    t = math.tanh(0.5 * epsilon) ** 2
+    center = 2.0 * np.arctan2(t * np.sin(theta), 1.0 - t * np.cos(theta))
+    terms = fan - center + (ch - 1.0) * theta
+    full = (ch - 1.0) * _TWO_PI
+    count = int(whole.sum())
+    return _arc_estimate(count * full + float(terms.sum()), count + terms.size,
+                         count * full + float(np.abs(terms).sum()), kappa,
+                         epsilon, "kept_arcs_union")
+
+
 def extension_volume(
     points: np.ndarray,
     epsilon: float,
@@ -191,17 +344,23 @@ def extension_volume(
     workers: int = 1,
     check_lower_bound: bool = True,
 ) -> VolumeEstimate:
-    """Monte Carlo volume of A_eps with a packing-certified floor.
+    """Volume of A_eps with a packing-certified floor.
 
-    The floor N_pack * Vol(B(eps/2)) must sit below the estimate by at
-    most three standard errors, otherwise PackingBoundError is raised.
+    In the plane the area is closed (`_planar_union_area`, method
+    "kept_arcs_union"); `samples`, `seed` and `workers` go unused, and
+    `std_error` is an absolute rounding bound, not a sampling error.  From
+    n = 3 on it is region Monte Carlo with `samples` draws.  The floor
+    N_pack * Vol(B(eps/2)) must sit below the estimate by at most three
+    standard errors, otherwise PackingBoundError is raised.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    union = UnionOfBalls(points, epsilon)
+    pts = union.centers
     n = pts.shape[1]
-    est = region_volume_mc(
-        UnionOfBalls(pts, epsilon).region(), samples=samples, seed=seed,
-        workers=workers,
-    )
+    if n == 2:
+        est = _planar_union_area(pts, epsilon)
+    else:
+        est = region_volume_mc(union.region(), samples=samples, seed=seed,
+                               workers=workers)
     if check_lower_bound:
         pack = greedy_packing(pts, epsilon, seed=seed)
         floor = len(pack) * ball_volume(n, epsilon / 2.0)
@@ -235,21 +394,31 @@ def theorem2_ratio(
     workers: int = 1,
     budget: int | None = None,
 ) -> dict:
-    """Vol(Conv(A_eps)) / Vol(A_eps), hull by inner approximation.
+    """Vol(Conv(A_eps)) / Vol(A_eps) with both estimates.
 
-    Returns the ratio together with both estimates.  The hull volume takes
-    the route `preferred_method` picks: a closed form in 2D and 3D, facet
-    quadrature with evaluation budget `budget` above.  The union volume is
-    Monte Carlo with `samples` draws.  The ratio is low_confidence when
-    the hull estimate is, or when the union's relative SE exceeds 5%; a
-    union estimate of 0 (no sample hit a ball) gives ratio inf.
+    In the plane both sides are closed forms from the kept arcs of the
+    eps-circles: the hull by Gauss-Bonnet (method "kept_arcs_hull") and the
+    union by its boundary arcs (method "kept_arcs_union", as
+    `extension_volume`), each with a rounding bound as `std_error`; no
+    ring hull is built and nothing is sampled.  From n = 3 on the hull is
+    `hull_of_extension` with `boundary_samples` ring points, an inner
+    approximation, whose volume takes the route `preferred_method` picks
+    (facet quadrature with evaluation budget `budget` from n = 4), and
+    the union is Monte Carlo with `samples` draws.  The ratio is
+    low_confidence when the hull estimate is, or when the union's relative
+    SE exceeds 5%; a union estimate of 0 (no sample hit a ball) gives
+    ratio inf.
     """
-    poly = hull_of_extension(points, epsilon, boundary_samples, seed=seed)
-    hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
     union_est = extension_volume(
         points, epsilon, samples=samples, seed=seed, workers=workers,
         check_lower_bound=False,
     )
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] == 2:
+        hull_est = _planar_hull_area(pts, epsilon)
+    else:
+        poly = hull_of_extension(pts, epsilon, boundary_samples, seed=seed)
+        hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
     hit = union_est.value > 0
     rel = union_est.std_error / union_est.value if hit else math.inf
     return {

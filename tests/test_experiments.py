@@ -7,7 +7,7 @@ a different worker count.
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -134,6 +134,30 @@ def test_theorem1_sweep_small_run():
     assert summary["slopes"]["n=2"] < 1.05
 
 
+def test_theorem1_sweep_checks_the_3d_fan_bound(monkeypatch):
+    # every 3D hull with V vertices must stay under (2V - 7) v3; a volume
+    # route that reads too high is reported, row by row
+    import hypervol.experiments as experiments
+
+    cfg = RunConfig(command="theorem1-sweep", dims=(3,), sizes=(8, 16),
+                    replicates=1, seed=0)
+    _, rows, failures, _ = cmd_theorem1_sweep(cfg)
+    assert len(rows) == 2 and not any("fan bound" in f for f in failures)
+    real = experiments.polytope_volume
+
+    def inflated(poly, *args, **kw):
+        est = real(poly, *args, **kw)
+        verts = poly.vertices.shape[0]
+        return replace(est, value=(2 * verts - 7) * experiments.V3_IDEAL * 1.001)
+
+    monkeypatch.setattr(experiments, "polytope_volume", inflated)
+    _, rows, failures, _ = cmd_theorem1_sweep(cfg)
+    fan = [f for f in failures if "fan bound" in f]
+    assert len(fan) == 2
+    assert all(f.startswith("3D fan bound violated: N=") and "(2V-7)v3=" in f
+               for f in fan)
+
+
 def test_theorem2_check_small_run():
     cfg = RunConfig(command="theorem2-check", dims=(2,), instances=2,
                     d_values=(3.0, 6.0), mc_samples=40_000,
@@ -145,6 +169,10 @@ def test_theorem2_check_small_run():
     fams = {row[fam_i] for row in rows}
     assert fams == {"two-point", "two-point-euclidean", "cluster", "chain",
                     "dense-ball"}
+    # planar rows are closed forms on both sides
+    assert {(row[header.index("hull_method")],
+             row[header.index("union_method")]) for row in rows} == {
+        ("kept_arcs_hull", "kept_arcs_union"), ("closed_form", "closed_form")}
     for row in rows:
         if row[fam_i] == "cluster":
             assert row[ratio_i] >= 1.0

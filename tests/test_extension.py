@@ -6,6 +6,7 @@ of the bounding curve, so it anchors all the Monte Carlo machinery here.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,8 @@ from hypervol import (
     greedy_packing,
     hull_of_extension,
     polytope_volume,
+    random_isometry,
+    region_volume_mc,
     sandwich_check,
     theorem2_ratio,
     triangle_area_2d,
@@ -333,10 +336,242 @@ def test_theorem2_ratio_carries_the_hull_flag():
 def test_theorem2_ratio_without_union_hits_is_infinite():
     # two tiny balls near the boundary: no union sample hits either, so
     # the union estimate is 0 and the ratio is inf, flagged, not an error
+    # (in 3D: the planar union is a closed form)
     t = math.tanh(5.0)
-    out = theorem2_ratio(np.array([[-t, 0.0], [t, 0.0]]), 1e-3, samples=1000,
-                         boundary_samples=16)
+    out = theorem2_ratio(np.array([[-t, 0.0, 0.0], [t, 0.0, 0.0]]), 1e-3,
+                         samples=1000, boundary_samples=16)
     assert out["union"].value == 0.0
     assert out["hull"].value > 0.0
     assert out["ratio"] == math.inf
     assert out["low_confidence"]
+
+
+# ---------------------------------------------------------------------------
+# planar closed forms: the kept arcs of the eps-circles
+
+
+def _planar(pts, eps):
+    """(hull, union) of A_eps in the plane, both by the kept-arc kernel."""
+    out = theorem2_ratio(pts, eps)
+    assert out["hull"].method == "kept_arcs_hull"
+    assert out["union"].method == "kept_arcs_union"
+    return out["hull"], out["union"]
+
+
+def _two_points(d):
+    p = math.tanh(d / 2.0)
+    return np.array([[-p, 0.0], [p, 0.0]])
+
+
+def _ring(count, radius):
+    """`count` centers evenly spaced at hyperbolic radius `radius`."""
+    a = 2.0 * math.pi * np.arange(count) / count
+    return math.tanh(radius) * np.column_stack([np.cos(a), np.sin(a)])
+
+
+# 12 discs of radius 0.75 at radius 1.5: neighbours overlap, the origin is
+# 1.5 from every center, so the union has a hole
+HOLED_RING = (_ring(12, 1.5), 0.75)
+
+
+def _criterion8_planar():
+    """The 25 planar instances of acceptance criterion 8."""
+    for j in range(0, 50, 2):
+        family = ("uniform-ball", "clustered", "chain")[j % 3]
+        eps = (0.4, 0.7, 1.0, 1.3)[j % 4]
+        if family == "chain":
+            pts = generate_points("chain", 2, 8, seed=800 + j, chain_spacing=0.6)
+        else:
+            pts = generate_points(family, 2, 10 + (j % 3) * 3, seed=800 + j)
+        yield pts, eps, 800 + j
+
+
+@pytest.mark.parametrize("d", [0.0, 1.5, 3.0, 6.0, 10.0])
+def test_planar_hull_matches_two_ball_closed_form(d):
+    hull, _ = _planar(_two_points(d), 1.0)
+    assert abs(hull.value - two_ball_hull_area(d, 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("pts", [
+    _ring(5, 3.0),
+    generate_points("clustered", 2, 20, 7),
+    generate_points("chain", 2, 8, 7),
+    generate_points("uniform-ball", 2, 16, 7),
+], ids=["pentagon", "clustered", "chain", "uniform-ball"])
+def test_planar_hull_above_ring_hulls(pts):
+    # ring hulls are inner approximations; their gap to the closed form
+    # shrinks about as k^-2 in the ring size k (256x from 512 to 8192)
+    hull, _ = _planar(pts, 1.0)
+    gaps = [hull.value - polytope_volume(hull_of_extension(pts, 1.0, k),
+                                         "exact_2d").value
+            for k in (512, 8192)]
+    assert gaps[0] > gaps[1] > 0.0
+    assert 256 / 3 < gaps[0] / gaps[1] < 256 * 3
+
+
+def test_planar_union_pulls_against_region_mc():
+    # region Monte Carlo is the independent route: its pulls about the
+    # closed form must look standard normal
+    assert not UnionOfBalls(*HOLED_RING).membership(np.zeros((1, 2))).any()
+    cases = list(_criterion8_planar()) + [(*HOLED_RING, 7)]
+    pulls = []
+    for pts, eps, seed in cases:
+        _, union = _planar(pts, eps)
+        mc = region_volume_mc(UnionOfBalls(pts, eps).region(),
+                              samples=200_000, seed=seed)
+        pulls.append((mc.value - union.value) / mc.std_error)
+    assert len(pulls) == 26
+    assert max(abs(p) for p in pulls) <= 3.0, pulls
+    assert abs(np.mean(pulls)) <= 3.0 / math.sqrt(len(pulls)), pulls
+
+
+def test_extension_volume_planar_route():
+    pts = generate_points("clustered", 2, 20, 3)
+    est = extension_volume(pts, 1.0)
+    assert est.method == "kept_arcs_union"
+    assert est.std_error > 0.0
+    assert est.achieved_rel_tol == est.std_error / est.value
+    assert not est.low_confidence
+    # samples, seed and workers have nothing to do in the plane
+    assert extension_volume(pts, 1.0, samples=10, seed=5, workers=2) == est
+
+
+def _mp_planar(pts, eps):
+    """Hull and union areas by the kept-arc construction in 50 digits.
+
+    The same formulas as the library, evaluated at the float centers taken
+    as exact, so the difference is the library's rounding.
+    """
+    mp = mpmath.mp
+    mp.dps = 50
+    centers = []
+    for x, y in pts:
+        q = (mp.mpf(float(x)), mp.mpf(float(y)))
+        if q not in centers:
+            centers.append(q)
+    e = mp.mpf(float(eps))
+    two_pi = 2 * mp.pi
+    s = [mp.sqrt(1 - x * x - y * y) for x, y in centers]
+
+    def seen_from(i, k):
+        (cx, cy), (qx, qy) = centers[i], centers[k]
+        dx, dy = qx - cx, qy - cy
+        f = (cx * dx + cy * dy) / (s[i] * (1 + s[i]))
+        lx, ly = dx + f * cx, dy + f * cy
+        sinh_d = mp.sqrt(lx * lx + ly * ly) / s[k]
+        cosh_d = (1 - cx * qx - cy * qy) / (s[i] * s[k])
+        return sinh_d / (1 + cosh_d), mp.atan2(ly, lx)
+
+    def kept(scale):
+        arcs = []
+        for i in range(len(centers)):
+            cuts = []
+            for k in range(len(centers)):
+                half, phi = seen_from(i, k) if k != i else (mp.inf, 0)
+                if scale * half >= 1:
+                    continue
+                h = mp.acos(scale * half)
+                lo = (phi - h) % two_pi
+                hi = lo + 2 * h
+                if hi > two_pi:
+                    cuts += [(lo, two_pi), (mp.mpf(0), hi - two_pi)]
+                else:
+                    cuts.append((lo, hi))
+            reach = mp.mpf(0)
+            for lo, hi in sorted(cuts) + [(two_pi, two_pi)]:
+                if lo > reach:
+                    arcs.append((i, reach, lo))
+                reach = max(reach, hi)
+        return arcs
+
+    ch, sh = mp.cosh(e), mp.sinh(e)
+    hull = ch * sum(b - a for _, a, b in kept(mp.tanh(e))) - two_pi
+    t = mp.tanh(e / 2) ** 2
+    union = mp.mpf(0)
+    for i, a, b in kept(1 / mp.tanh(e)):
+        theta = b - a
+        union += (ch - 1) * theta
+        if theta == two_pi:
+            continue
+        x0 = 1 / s[i]
+        xs = (centers[i][0] * x0, centers[i][1] * x0)
+
+        def lift(angle):
+            ex, ey = mp.cos(angle), mp.sin(angle)
+            xe = xs[0] * ex + xs[1] * ey
+            return (x0 * ch + sh * xe,
+                    xs[0] * ch + sh * (ex + xs[0] * xe / (x0 + 1)),
+                    xs[1] * ch + sh * (ey + xs[1] * xe / (x0 + 1)))
+
+        p, q = lift(a), lift(b)
+        minkowski = p[0] * q[0] - p[1] * q[1] - p[2] * q[2]
+        fan = 2 * mp.atan2(p[1] * q[2] - p[2] * q[1], 1 + p[0] + q[0] + minkowski)
+        union += fan - 2 * mp.atan2(t * mp.sin(theta), 1 - t * mp.cos(theta))
+    return hull, union
+
+
+@pytest.mark.parametrize("pts, eps", [
+    (_two_points(2.0 * (1 + 1e-12)), 1.0),
+    (_two_points(2.0 * (1 - 1e-12)), 1.0),
+    (_two_points(1.3 * (1 - 1e-12)), 0.65),
+    # off the axis the two circles' half-widths would round apart
+    (random_isometry(2, 0).apply_array(_two_points(2.0 * (1 - 1e-12))), 1.0),
+    HOLED_RING,
+    (generate_points("uniform-ball", 2, 40, 5), 1.0),
+    (generate_points("clustered", 2, 20, 2), 1.0),
+    (generate_points("chain", 2, 8, 3), 1.0),
+    (_two_points(10.0), 1.0),
+], ids=["tangent-apart", "tangent-overlap", "tangent-small", "tangent-moved",
+        "holed-ring", "dense-ball", "clustered", "chain", "far-apart"])
+def test_planar_areas_within_their_rounding_bound(pts, eps):
+    hull, union = _planar(pts, eps)
+    mp_hull, mp_union = _mp_planar(pts, eps)
+    assert abs(hull.value - float(mp_hull)) <= hull.std_error
+    assert abs(union.value - float(mp_union)) <= union.std_error
+    assert union.achieved_rel_tol == union.std_error / union.value < 1e-9
+
+
+_PLANAR = dict(k=st.integers(1, 14), eps=st.floats(0.05, 2.0),
+               radius=st.floats(0.2, 3.0), seed=st.integers(0, 2**20))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PLANAR)
+def test_planar_areas_are_invariant(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 2, k, seed, radius=radius)
+    base = _planar(pts, eps)
+    moved = random_isometry(2, seed).apply_array(pts)
+    shuffled = pts[np.random.default_rng(seed).permutation(k)]
+    for other in (_planar(moved, eps), _planar(shuffled, eps)):
+        for a, b in zip(base, other):
+            assert abs(a.value - b.value) <= a.std_error + b.std_error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PLANAR)
+def test_planar_repeated_centers_count_once(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 2, k, seed, radius=radius)
+    extra = pts[np.random.default_rng(seed).integers(0, k, size=3)]
+    for a, b in zip(_planar(pts, eps), _planar(np.vstack([pts, extra]), eps)):
+        assert a.value == b.value
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_PLANAR)
+def test_planar_hull_holds_the_union(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 2, k, seed, radius=radius)
+    hull, union = _planar(pts, eps)
+    assert hull.value >= union.value - hull.std_error - union.std_error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(count=st.integers(1, 6), eps=st.floats(0.05, 1.0),
+       gap=st.floats(1e-3, 1.0), seed=st.integers(0, 2**20))
+def test_planar_isolated_discs_are_exact(count, eps, gap, seed):
+    # centers more than 2 eps apart along a moved geodesic: N whole discs
+    step = 2.0 * eps + gap
+    pos = step * (np.arange(count) - (count - 1) / 2.0)
+    line = np.column_stack([np.tanh(pos), np.zeros(count)])
+    pts = random_isometry(2, seed).apply_array(line)
+    _, union = _planar(pts, eps)
+    assert union.value == count * (2.0 * math.pi * (math.cosh(eps) - 1.0))
