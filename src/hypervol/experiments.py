@@ -303,23 +303,29 @@ def cmd_theorem2_check(config: RunConfig):
     chain, and a dense ball.  Cluster rows must have ratio >= 1 (the
     union is far from convex); dense-ball rows stay near 1.  Each row
     names the route of both sides: planar rows are closed forms
-    ("kept_arcs_hull", "kept_arcs_union"), spatial rows a ring hull and
-    Monte Carlo (see `theorem2_ratio`).
+    ("kept_arcs_hull", "kept_arcs_union"), 3D rows a ring hull and the
+    Voronoi-cell union ("voronoi_cells_union"), and from n = 4 on the
+    union is Monte Carlo (see `theorem2_ratio`).  `union_std_error` is the
+    union's stated error: a rounding and quadrature bound for the closed
+    forms, 0 for the Euclidean companion, the standard error for Monte
+    Carlo.
     """
     header = [
         "instance", "family", "n", "epsilon", "d", "seed", "budget",
-        "mc_samples", "hull_volume", "extension_volume", "ratio",
-        "hull_method", "union_method", "low_confidence",
+        "mc_samples", "hull_volume", "extension_volume", "union_std_error",
+        "ratio", "hull_method", "union_method", "low_confidence",
     ]
     rows: list[list] = []
     failures: list[str] = []
     eps = config.epsilon
     inst = 0
 
-    def row(family, n, d, seed_r, hull_v, ext_v, r, hull_m, union_m, low):
+    def row(family, n, d, seed_r, hull_v, ext_v, ext_se, r, hull_m, union_m,
+            low):
         nonlocal inst
         rows.append([inst, family, n, eps, d, seed_r, config.budget,
-                     config.mc_samples, hull_v, ext_v, r, hull_m, union_m, low])
+                     config.mc_samples, hull_v, ext_v, ext_se, r, hull_m,
+                     union_m, low])
         inst += 1
         return r
 
@@ -329,9 +335,10 @@ def cmd_theorem2_check(config: RunConfig):
             boundary_samples=config.boundary_samples, budget=config.budget,
             seed=seed_r, workers=config.workers,
         )
-        return row(family, n, d, seed_r, rep["hull"].value, rep["union"].value,
-                   rep["ratio"], rep["hull"].method, rep["union"].method,
-                   rep["low_confidence"])
+        union = rep["union"]
+        return row(family, n, d, seed_r, rep["hull"].value, union.value,
+                   union.std_error, rep["ratio"], rep["hull"].method,
+                   union.method, rep["low_confidence"])
 
     two_point = []
     for d in config.d_values:
@@ -344,7 +351,7 @@ def cmd_theorem2_check(config: RunConfig):
         if d <= 2 * eps:
             continue
         row("two-point-euclidean", 2, float(d), _derive_seed(config.seed, 2, inst),
-            math.pi * eps * eps + 2.0 * eps * d, 2.0 * math.pi * eps * eps,
+            math.pi * eps * eps + 2.0 * eps * d, 2.0 * math.pi * eps * eps, 0.0,
             euclidean_capsule_ratio(d, eps), "closed_form", "closed_form", False)
     cluster_ratios: dict[int, list[float]] = {}
     for n in config.dims:

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from hypervol import (
     PackingResult,
@@ -336,10 +337,10 @@ def test_theorem2_ratio_carries_the_hull_flag():
 def test_theorem2_ratio_without_union_hits_is_infinite():
     # two tiny balls near the boundary: no union sample hits either, so
     # the union estimate is 0 and the ratio is inf, flagged, not an error
-    # (in 3D: the planar union is a closed form)
+    # (in 4D: the planar and 3D unions are closed forms)
     t = math.tanh(5.0)
-    out = theorem2_ratio(np.array([[-t, 0.0, 0.0], [t, 0.0, 0.0]]), 1e-3,
-                         samples=1000, boundary_samples=16)
+    out = theorem2_ratio(np.array([[-t, 0.0, 0.0, 0.0], [t, 0.0, 0.0, 0.0]]),
+                         1e-3, samples=1000, boundary_samples=16)
     assert out["union"].value == 0.0
     assert out["hull"].value > 0.0
     assert out["ratio"] == math.inf
@@ -575,3 +576,334 @@ def test_planar_isolated_discs_are_exact(count, eps, gap, seed):
     pts = random_isometry(2, seed).apply_array(line)
     _, union = _planar(pts, eps)
     assert union.value == count * (2.0 * math.pi * (math.cosh(eps) - 1.0))
+
+
+# ---------------------------------------------------------------------------
+# spatial closed form: eps-balls clipped to their Voronoi cells
+
+
+def _spatial(pts, eps, **kw):
+    """The 3D union by `extension_volume`'s closed route."""
+    est = extension_volume(pts, eps, check_lower_bound=False, **kw)
+    assert est.method == "voronoi_cells_union"
+    return est
+
+
+def _m(r):
+    """M(r) = integral of sinh^2 from 0 to r."""
+    return (math.sinh(2.0 * r) - 2.0 * r) / 4.0
+
+
+def _two_points_3d(d):
+    p = math.tanh(d / 2.0)
+    return np.array([[-p, 0.0, 0.0], [p, 0.0, 0.0]])
+
+
+def _criterion8_spatial():
+    """The 25 3D instances of acceptance criterion 8."""
+    for j in range(1, 50, 2):
+        family = ("uniform-ball", "clustered", "chain")[j % 3]
+        eps = (0.4, 0.7, 1.0, 1.3)[j % 4]
+        if family == "chain":
+            pts = generate_points("chain", 3, 8, seed=800 + j, chain_spacing=0.6)
+        else:
+            pts = generate_points(family, 3, 10 + (j % 3) * 3, seed=800 + j)
+        yield pts, eps, 800 + j
+
+
+@pytest.mark.parametrize("eps", [0.4, 1.0, 1.3])
+@pytest.mark.parametrize("d_of", [lambda e: 0.05, lambda e: 1.0, lambda e: 1.9,
+                                  lambda e: 2.0 * e * (1.0 - 1e-9)],
+                         ids=["d0.05", "d1", "d1.9", "tangent"])
+def test_two_ball_union_matches_cap_quadrature(eps, d_of):
+    # each ball loses the cap of directions that leave through the
+    # bisector inside it: M(eps) - M(rho) over theta < theta_0
+    d = d_of(eps)
+    if d >= 2.0 * eps:
+        want = 2.0 * ball_volume(3, eps)
+    else:
+        t = math.tanh(d / 2.0)
+        cap, _ = integrate.quad(
+            lambda th: (_m(eps) - _m(math.atanh(t / math.cos(th)))) * math.sin(th),
+            0.0, math.acos(t / math.tanh(eps)), epsabs=1e-15, epsrel=1e-13,
+            limit=200)
+        want = 2.0 * (ball_volume(3, eps) - 2.0 * math.pi * cap)
+    assert abs(_spatial(_two_points_3d(d), eps).value - want) <= 1e-13
+
+
+def _cell_cubature(pts, eps, rows=400, cols=800):
+    """Sum over balls of the integral of M(min(eps, rho(u))) over directions.
+
+    Each ball is moved to the origin, where the bisector with a moved
+    center q is the plane x . q = 1 - sqrt(1 - |q|^2); Gauss-Legendre in
+    cos(theta) times the midpoint rule in phi.
+    """
+    x, w = np.polynomial.legendre.leggauss(rows)
+    phi = (np.arange(cols) + 0.5) * (2.0 * math.pi / cols)
+    total = 0.0
+    for i, q in enumerate(pts):
+        others = translation_to(-q).apply_array(np.delete(pts, i, axis=0))
+        foot = 1.0 - np.sqrt(1.0 - np.sum(others ** 2, axis=1))
+        for ct, wt in zip(x, w):
+            st = math.sqrt(1.0 - ct * ct)
+            u = np.column_stack([st * np.cos(phi), st * np.sin(phi),
+                                 np.full(cols, ct)])
+            along = u @ others.T
+            reach = np.where(along > 0.0,
+                             foot / np.where(along > 0.0, along, 1.0), np.inf)
+            r = np.arctanh(np.minimum(math.tanh(eps), reach.min(axis=1)))
+            total += wt * (2.0 * math.pi / cols) * np.sum((np.sinh(2 * r) - 2 * r) / 4)
+    return total
+
+
+def test_four_balls_with_a_voronoi_vertex_inside_match_cubature():
+    # a skewed tetrahedron of centers about 0.9 from its Voronoi vertex
+    tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
+    skew = np.random.default_rng(1).normal(scale=0.05, size=(4, 3))
+    pts = random_isometry(3, 1).apply_array(math.tanh(0.9) * tet + skew)
+    eps = 1.0
+    # the vertex solves (q_i / s_i - q_0 / s_0) . x = 1 / s_i - 1 / s_0
+    s = np.sqrt(1.0 - np.sum(pts ** 2, axis=1))
+    vertex = np.linalg.solve(pts[1:] / s[1:, None] - pts[0] / s[0],
+                             1.0 / s[1:] - 1.0 / s[0])
+    near = dist_matrix(vertex[None, :], pts)[0]
+    assert np.ptp(near) < 1e-12 and near[0] < eps
+    est = _spatial(pts, eps)
+    assert abs(est.value - _cell_cubature(pts, eps)) <= 2e-7 * est.value
+
+
+def test_spatial_union_pulls_against_region_mc():
+    # region Monte Carlo is the independent route; these are the samples
+    # and seeds criterion 8 ran through it
+    pulls = []
+    for pts, eps, seed in _criterion8_spatial():
+        union = _spatial(pts, eps)
+        mc = region_volume_mc(UnionOfBalls(pts, eps).region(),
+                              samples=600_000, seed=seed)
+        pulls.append((mc.value - union.value) / mc.std_error)
+    pulls = np.array(pulls)
+    within = float(np.mean(np.abs(pulls) <= 2.0))
+    print(f"25 3D pulls: mean {pulls.mean():+.3f}, sd {pulls.std(ddof=1):.3f}, "
+          f"|pull| <= 2 in {within:.0%}")
+    assert len(pulls) == 25
+    assert np.max(np.abs(pulls)) <= 3.5, pulls
+    assert abs(pulls.mean()) <= 3.0 / math.sqrt(len(pulls)), pulls
+    assert 0.5 <= pulls.std(ddof=1) <= 1.6, pulls
+    assert within >= 0.8, pulls
+
+
+def test_spatial_gauss_rules_agree():
+    # the straight sides' 16-point rule against a 32-point one
+    from hypervol.extension import _spatial_union_volume
+
+    for pts, eps, _ in _criterion8_spatial():
+        a = _spatial_union_volume(pts, eps)
+        b = _spatial_union_volume(pts, eps, nodes=32)
+        assert abs(a.value - b.value) <= 1e-13 * a.value
+        assert abs(a.value - b.value) <= a.std_error
+
+
+def test_extension_volume_spatial_route():
+    pts = generate_points("clustered", 3, 20, 3)
+    est = extension_volume(pts, 1.0)
+    assert est.method == "voronoi_cells_union"
+    assert est.std_error > 0.0
+    assert est.achieved_rel_tol == est.std_error / est.value < 1e-9
+    assert est.evaluations > 0
+    assert not est.low_confidence
+    # samples, seed and workers have nothing to do in 3D either
+    assert extension_volume(pts, 1.0, samples=10, seed=5, workers=2) == est
+    assert extension_volume(np.zeros((1, 3)), 0.8).value == ball_volume(3, 0.8)
+
+
+def _mp_spatial(pts, eps):
+    """The Voronoi-cell union volume in 50 digits.
+
+    The same construction as the library, at the float centers taken as
+    exact: each face's rim arcs in closed form and its straight sides by
+    mpmath quadrature.  Every neighbour of ball i clips every face of it,
+    where the library keeps only the neighbours of both balls.
+    """
+    mp = mpmath.mp
+    mp.dps = 50
+    centers = []
+    for row in pts:
+        q = tuple(mp.mpf(float(v)) for v in row)
+        if q not in centers:
+            centers.append(q)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    e = mp.mpf(float(eps))
+    te = mp.tanh(e)
+    m_eps = (mp.sinh(2 * e) - 2 * e) / 4
+    two_pi = 2 * mp.pi
+    s = [mp.sqrt(1 - dot(q, q)) for q in centers]
+
+    def seen_from(i, k):
+        ci, ck = centers[i], centers[k]
+        delta = [b - a for a, b in zip(ci, ck)]
+        f = dot(ci, delta) / (s[i] * (1 + s[i]))
+        loc = [dd + f * a for dd, a in zip(delta, ci)]
+        norm = mp.sqrt(dot(loc, loc))
+        cosh_d = (1 - dot(ci, ck)) / (s[i] * s[k])
+        return norm / s[k] / (1 + cosh_d), [v / norm for v in loc]
+
+    def g(t, cos_t):
+        return m_eps * (1 - cos_t) - (cos_t * mp.atanh(t / cos_t) - mp.atanh(t)) / 2
+
+    total = 0
+    for i in range(len(centers)):
+        seen = {k: seen_from(i, k) for k in range(len(centers)) if k != i}
+        near = [k for k in seen if seen[k][0] < te]
+        total += 4 * mp.pi * m_eps
+        for k in near:
+            t, u = seen[k]
+            axis = min(range(3), key=lambda j: abs(u[j]))
+            e1 = [mp.mpf(j == axis) - u[axis] * u[j] for j in range(3)]
+            e1 = [a / mp.sqrt(dot(e1, e1)) for a in e1]
+            e2 = [u[1] * e1[2] - u[2] * e1[1], u[2] * e1[0] - u[0] * e1[2],
+                  u[0] * e1[1] - u[1] * e1[0]]
+            c0 = t / te
+            rim = mp.sqrt(1 - c0 * c0) / c0
+            lines = []
+            for l in near:
+                if l != k:
+                    tl, ul = seen[l]
+                    a = (dot(ul, e1), dot(ul, e2))
+                    na = mp.sqrt(a[0] ** 2 + a[1] ** 2)
+                    n, p = (a[0] / na, a[1] / na), (tl / t - dot(ul, u)) / na
+                    # co-circular centers cut a face along one line twice
+                    if all(abs(n[0] - m[0]) + abs(n[1] - m[1]) + abs(p - pm) > 1e-30
+                           for m, pm in lines):
+                        lines.append((n, p))
+            if any(p <= -rim for _, p in lines):
+                continue
+            cuts = []
+            for n, p in lines:
+                if p < rim:
+                    phi, h = mp.atan2(n[1], n[0]) % two_pi, mp.acos(p / rim)
+                    for shift in (-two_pi, 0, two_pi):
+                        if phi + h + shift > 0 and phi - h + shift < two_pi:
+                            cuts.append((max(phi - h + shift, 0),
+                                         min(phi + h + shift, two_pi)))
+            reach, kept = mp.mpf(0), mp.mpf(0)
+            for lo, hi in sorted(cuts) + [(two_pi, two_pi)]:
+                kept += max(lo - reach, 0)
+                reach = max(reach, hi)
+            face = g(t, c0) * kept
+            for j, (n, p) in enumerate(lines):
+                if abs(p) >= rim or p == 0:
+                    continue
+                low, up = -mp.sqrt(rim * rim - p * p), mp.sqrt(rim * rim - p * p)
+                for jj, (m, pm) in enumerate(lines):
+                    alpha, beta = m[1] * n[0] - m[0] * n[1], pm - p * dot(m, n)
+                    if jj == j:
+                        continue
+                    if alpha > 0:
+                        up = min(up, beta / alpha)
+                    elif alpha < 0:
+                        low = max(low, beta / alpha)
+                    elif beta < 0:
+                        up = low
+                if low < up:
+                    pa = abs(p)
+                    face += mp.sign(p) * mp.quad(
+                        lambda v: g(t, 1 / mp.sqrt(1 + (pa * mp.cosh(v)) ** 2)) / mp.cosh(v),
+                        [mp.asinh(low / pa), mp.asinh(up / pa)])
+            total -= face
+    return total
+
+
+def _ring_3d(count, radius):
+    """`count` centers evenly spaced at hyperbolic radius `radius` in z = 0."""
+    return np.column_stack([_ring(count, radius), np.zeros(count)])
+
+
+_CUBE = math.tanh(0.7) * np.array(
+    [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]) / math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("pts, eps", [
+    (_ring_3d(8, 0.5), 1.0),
+    (_ring_3d(12, 0.8), 0.9),
+    (_CUBE, 1.0),
+    (np.array([[x, y, z] for x in (-.3, 0, .3) for y in (-.3, 0, .3)
+               for z in (-.3, 0, .3)]), 0.5),
+], ids=["ring-8", "ring-12", "cube", "grid"])
+def test_spatial_union_of_cospherical_centers(pts, eps):
+    # co-circular centers make several neighbours cut a face along one
+    # line; the result must match a copy nudged off that degeneracy, and
+    # a copy moved far out, where rounding splits the line
+    est = _spatial(pts, eps)
+    nudged = pts + 1e-10 * np.random.default_rng(0).standard_normal(pts.shape)
+    assert abs(est.value - _spatial(nudged, eps).value) <= 1e-8 * est.value
+    far = _spatial(translation_to(np.array([math.tanh(5.0), 0.0, 0.0]))
+                   .apply_array(pts), eps)
+    assert abs(est.value - far.value) <= est.std_error + far.std_error
+
+
+@pytest.mark.parametrize("pts, eps", [
+    (_two_points_3d(2.0 * (1 + 1e-12)), 1.0),
+    (_two_points_3d(2.0 * (1 - 1e-12)), 1.0),
+    (random_isometry(3, 0).apply_array(_two_points_3d(2.0 * (1 - 1e-12))), 1.0),
+    (random_isometry(3, 1).apply_array(math.tanh(0.9) * np.array(
+        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)), 1.0),
+    (_ring_3d(4, 0.6), 1.0),
+    # centers about 5 from the origin: kappa ~ 6e3
+    (translation_to(np.array([math.tanh(5.0), 0.0, 0.0])).apply_array(
+        generate_points("uniform-ball", 3, 6, 2, radius=0.8)), 0.7),
+    (generate_points("uniform-ball", 3, 6, 11, radius=0.06), 0.05),
+    # large eps: the side integrand's log singularity near the rim
+    (generate_points("uniform-ball", 3, 6, 12, radius=1.5), 2.0),
+], ids=["tangent-apart", "tangent-overlap", "tangent-moved", "tetrahedron",
+        "square", "far-out", "small-eps", "eps-2"])
+def test_spatial_union_within_its_stated_bound(pts, eps):
+    est = _spatial(pts, eps)
+    assert abs(est.value - float(_mp_spatial(pts, eps))) <= est.std_error
+    assert est.achieved_rel_tol == est.std_error / est.value < 1e-9
+
+
+_SPATIAL = dict(k=st.integers(1, 10), eps=st.floats(0.05, 2.0),
+                radius=st.floats(0.2, 3.0), seed=st.integers(0, 2**20))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_SPATIAL)
+def test_spatial_union_is_invariant(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 3, k, seed, radius=radius)
+    base = _spatial(pts, eps)
+    moved = random_isometry(3, seed).apply_array(pts)
+    shuffled = pts[np.random.default_rng(seed).permutation(k)]
+    for other in (_spatial(moved, eps), _spatial(shuffled, eps)):
+        assert abs(base.value - other.value) <= base.std_error + other.std_error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_SPATIAL)
+def test_spatial_repeated_centers_count_once(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 3, k, seed, radius=radius)
+    extra = pts[np.random.default_rng(seed).integers(0, k, size=3)]
+    assert _spatial(pts, eps).value == _spatial(np.vstack([pts, extra]), eps).value
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_SPATIAL)
+def test_spatial_union_below_the_ball_sum(k, eps, radius, seed):
+    pts = generate_points("uniform-ball", 3, k, seed, radius=radius)
+    union = _spatial(pts, eps)
+    assert union.value <= k * ball_volume(3, eps) + union.std_error
+    assert union.value >= ball_volume(3, eps) - union.std_error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(count=st.integers(1, 6), eps=st.floats(0.05, 1.0),
+       gap=st.floats(1e-3, 1.0), seed=st.integers(0, 2**20))
+def test_spatial_isolated_balls_are_exact(count, eps, gap, seed):
+    # centers more than 2 eps apart along a moved geodesic: N whole balls
+    step = 2.0 * eps + gap
+    pos = step * (np.arange(count) - (count - 1) / 2.0)
+    line = np.column_stack([np.tanh(pos), np.zeros(count), np.zeros(count)])
+    pts = random_isometry(3, seed).apply_array(line)
+    assert _spatial(pts, eps).value == count * ball_volume(3, eps)

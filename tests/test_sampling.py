@@ -21,7 +21,6 @@ from hypervol import (
     UnionOfBalls,
     cone_report,
     convex_hull,
-    extension_volume,
     generate_points,
     polytope_volume,
     region_volume_mc,
@@ -98,13 +97,10 @@ def test_extension_volume_pinned(points, eps, samples, seed, value, std_error):
     family, n, count, point_seed = points
     kw = {"chain_spacing": 0.6} if family == "chain" else {}
     pts = generate_points(family, n, count, seed=point_seed, **kw)
-    if n == 2:
-        # the planar union is closed; its Monte Carlo cross-check stays pinned
-        est = region_volume_mc(UnionOfBalls(pts, eps).region(),
-                               samples=samples, seed=seed)
-    else:
-        est = extension_volume(pts, eps, samples=samples, seed=seed,
-                               check_lower_bound=False)
+    # the unions are closed in 2D and 3D; their Monte Carlo cross-checks
+    # stay pinned
+    est = region_volume_mc(UnionOfBalls(pts, eps).region(), samples=samples,
+                           seed=seed)
     assert (est.value, est.std_error) == (value, std_error)
 
 
