@@ -128,13 +128,13 @@ def test_mass_near_vertices_pinned():
 
 
 def test_theorem2_check_csv_pinned():
-    # planar closed forms, 3D union Monte Carlo and ring hulls, end to end
+    # planar closed forms, 3D Voronoi-cell unions and ring hulls, end to end
     cfg = RunConfig(command="theorem2-check", dims=(2, 3), instances=1,
                     mc_samples=20_000, boundary_samples=64)
     header, rows, _, _ = cmd_theorem2_check(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "42510deca9a2d124cbd151f486f6a0768258c9128c2a4cd0c8d0c4ea6f1a9650")
+        "3bd167a19b0e882799f20171ba61b15abc297abe3791e55dc9657e47a09cfb17")
 
 
 def test_theorem1_sweep_csv_pinned():
