@@ -421,9 +421,10 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float,
 
     `std_error` bounds the rounding and quadrature error: 64 u kappa
     cosh(eps)^2 M(eps) per face (plus one) for the rounding of the input,
-    as `_arc_estimate` states it in the plane, 8 u times the sum of the
-    absolute terms for the sums, and the quadrature error estimate.  It is
-    checked in the tests against 50-digit recomputations.
+    as `_arc_estimate` states it in the plane, 512 u kappa M(eps) per side
+    merged into another (`_clip_sides`), 8 u times the sum of the absolute
+    terms for the sums, and the quadrature error estimate.  It is checked
+    in the tests against 50-digit recomputations.
     """
     local, half, dup, kappa = _neighbour_frame(points)
     full = ball_volume(3, epsilon)
