@@ -21,6 +21,7 @@ from hypervol import (
     UnionOfBalls,
     cone_report,
     convex_hull,
+    extension_volume,
     generate_points,
     polytope_volume,
     region_volume_mc,
@@ -92,6 +93,9 @@ def test_region_mc_pinned(bounding_radius, value, std_error, workers):
     # criterion-8 instance 45: bounding radius 0.975
     (("uniform-ball", 3, 10, 845), 0.7, 600_000, 845,
      12.725236889655015, 0.045553426004890256),
+    # from n = 4 on, the union itself is region Monte Carlo
+    (("clustered", 4, 20, 104), 1.0, 200_000, 104,
+     56.38954607445323, 5.256842226784093),
 ])
 def test_extension_volume_pinned(points, eps, samples, seed, value, std_error):
     family, n, count, point_seed = points
@@ -102,6 +106,9 @@ def test_extension_volume_pinned(points, eps, samples, seed, value, std_error):
     est = region_volume_mc(UnionOfBalls(pts, eps).region(), samples=samples,
                            seed=seed)
     assert (est.value, est.std_error) == (value, std_error)
+    if n >= 4:
+        union = extension_volume(pts, eps, samples=samples, seed=seed)
+        assert (union.value, union.std_error) == (value, std_error)
 
 
 def test_facet_decomposition_pinned():
