@@ -486,38 +486,6 @@ def polytope_volume(
 # ---------------------------------------------------------------------------
 # region Monte Carlo
 
-def _segment_locator(cdf: np.ndarray):
-    """`locate(u)` = clip(searchsorted(cdf, u, "right") - 1, 0, last) on a
-    nondecreasing table, read through a guide table (Chen & Asau, AIIE
-    Trans. 6, 1974).
-
-    A guide of 4 entries per node maps each u-bin to a node at least one
-    below its first bracket; two steps up settle almost every draw, at the
-    k with cdf[k] <= u < cdf[k + 1].  The rest go to `np.searchsorted`.
-    """
-    last = len(cdf) - 2
-    # a step never leaves the last segment
-    next_up = np.append(cdf[1:-1], np.inf)
-    guide_size = 4 * len(cdf)
-    scale = guide_size / float(cdf[-1])
-    bins = np.arange(guide_size) * (float(cdf[-1]) / guide_size)
-    guide = np.clip(np.searchsorted(cdf, bins, side="right") - 2,
-                    0, last).astype(np.int32)
-
-    def locate(u):
-        k = guide[np.minimum((u * scale).astype(np.intp), guide_size - 1)]
-        k += next_up[k] <= u
-        k += next_up[k] <= u
-        unsettled = (cdf[k] > u) | (u >= next_up[k])
-        if unsettled.any():
-            idx = np.flatnonzero(unsettled)
-            k[idx] = np.clip(np.searchsorted(cdf, u[idx], side="right") - 1,
-                             0, last)
-        return k
-
-    return locate
-
-
 def region_volume_mc(
     region: Region, samples: int = _DEFAULT_MC_SAMPLES, seed: int = 0,
     workers: int = 1,
@@ -541,12 +509,12 @@ def region_volume_mc(
     seg_dx = np.diff(xs)
     seg_df = np.maximum(np.diff(cdf), 1e-300)
     seg_pdf = np.maximum(seg_df / seg_dx / total, 1e-300)
-    locate = _segment_locator(cdf)
 
     def stats(rng, m):
         dirs = _uniform_directions(rng, m, n)
         u = rng.uniform(size=m) * total
-        k = locate(u)
+        # u can round up to cdf[-1]; the last segment takes it
+        k = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
         w = xs[k] + (u - cdf[k]) * seg_dx[k] / seg_df[k]
         weight = area * np.sinh(w) ** (n - 1) / seg_pdf[k]
         mask = np.asarray(region.membership(np.tanh(w)[:, None] * dirs),

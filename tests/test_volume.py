@@ -31,7 +31,7 @@ from hypervol import (
 )
 from hypervol.hull import apex_triangulation
 from hypervol.klein import _radial_table
-from hypervol.volume import _segment_locator, lobachevsky, preferred_method
+from hypervol.volume import lobachevsky, preferred_method
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
 TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
@@ -170,11 +170,6 @@ def test_region_mc_radial_branch_ball():
     assert est.std_error / exact < 0.03
 
 
-def _searchsorted_segment(cdf, u):
-    # the binary search that the guide table replaces, as the reference
-    return np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(cdf) - 2)
-
-
 _TABLE_RADII = (0.9, 0.99, 0.995, 0.9999, 1 - 1e-9, 1 - 1e-12)
 
 
@@ -184,17 +179,6 @@ def test_radial_table_is_nondecreasing(n):
     for r_e in _TABLE_RADII:
         _, cdf = _radial_table(n, math.atanh(r_e))
         assert np.all(np.diff(cdf) >= 0.0)
-
-
-@pytest.mark.parametrize("n", range(2, 17))
-def test_guide_table_segments_match_binary_search(n):
-    rng = np.random.default_rng(n)
-    for r_e in _TABLE_RADII:
-        _, cdf = _radial_table(n, math.atanh(r_e))
-        u = rng.uniform(size=200_000) * float(cdf[-1])
-        u[:4] = [0.0, float(cdf[-1]), np.nextafter(cdf[-1], 0.0), cdf[1]]
-        got = _segment_locator(cdf)(u)
-        assert np.array_equal(got, _searchsorted_segment(cdf, u))
 
 
 def _centred_ball(n):
