@@ -51,7 +51,7 @@ from .klein import (
 )
 from .hull import Polytope, Simplex
 from .rng import _chunk_sums, _mean_se
-from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _dirichlet_draw
+from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _budget, _dirichlet_draw
 
 __all__ = [
     "PHI_CAP",
@@ -630,7 +630,8 @@ def _in_tilde_cone(pts: np.ndarray, inv: np.ndarray) -> np.ndarray:
 
 
 def verify_facet_decomposition(
-    d_simplex: Simplex, poly: Polytope, budget: int = 200_000, seed: int = 0
+    d_simplex: Simplex, poly: Polytope, budget: int | None = 200_000,
+    seed: int = 0,
 ) -> dict:
     """Monte Carlo check that Vol(D) <= 2^n sum_i Vol(D cap C~_(x_i)).
 
@@ -640,7 +641,10 @@ def verify_facet_decomposition(
     errors of the per-sample statistic w (2^n sum_i 1_i - 1).  Each
     indicator 1_i tests the sample against C~_(x_i) as a union of simplices
     (`_tilde_cone_inverses`), built before the first sample is drawn.
+    `budget` is the sample count: None reads as 200 000 and a budget below
+    1 raises ValueError, as in `simplex_volume`, also for a flat cone.
     """
+    budget = _budget(budget, 200_000)
     verts = d_simplex.vertices
     n = verts.shape[1]
     if np.linalg.norm(verts[0]) > 1e-12:

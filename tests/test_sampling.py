@@ -228,14 +228,29 @@ def _mass_near_vertices(samples):
         c_values=(0.5,), mc_samples=samples))
 
 
-@pytest.mark.parametrize("call", [
-    lambda k: rng._chunk_sums(0, k, 10, _stats),
-    lambda k: region_volume_mc(_offset_ball(0.995), samples=k),
-    _facet_check,
-    _mass_near_vertices,
+@pytest.mark.parametrize("call, message", [
+    (lambda k: rng._chunk_sums(0, k, 10, _stats), "samples must be >= 1"),
+    (lambda k: region_volume_mc(_offset_ball(0.995), samples=k),
+     "samples must be >= 1"),
+    # the facet check reads its budget as simplex_volume does
+    (_facet_check, "budget must be at least 1"),
+    (_mass_near_vertices, "samples must be >= 1"),
 ], ids=["chunk_sums", "region_radial",
         "facet_decomposition", "mass_near_vertices"])
 @pytest.mark.parametrize("samples", [0, -5])
-def test_sample_counts_below_one_rejected(call, samples):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
+def test_sample_counts_below_one_rejected(call, message, samples):
+    with pytest.raises(ValueError, match=message):
         call(samples)
+
+
+def test_facet_decomposition_budget_rule():
+    # a flat cone is checked like any other, and None is the default
+    flat = Simplex(np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]]))
+    poly = convex_hull(np.array([[0.6, 0.0], [0.0, 0.6], [-0.6, -0.6]]))
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        verify_facet_decomposition(flat, poly, budget=0)
+    d_simplex, poly = _facet_case()
+    default = verify_facet_decomposition(d_simplex, poly, budget=None, seed=3)
+    explicit = verify_facet_decomposition(d_simplex, poly, budget=200_000,
+                                          seed=3)
+    assert repr(default) == repr(explicit)
