@@ -622,8 +622,8 @@ def extension_volume(
     (`_spatial_union_volume`, method "voronoi_cells_union"); there
     `samples`, `seed` and `workers` go unused, and `std_error` is an
     absolute rounding (and quadrature) bound, not a sampling error.  From
-    n = 4 on it is region Monte Carlo with `samples` draws.  The floor
-    N_pack * Vol(B(eps/2)) must sit below the estimate by at most three
+    n = 4 on it is region Monte Carlo with `samples` draws.  The estimate
+    may fall below the floor N_pack * Vol(B(eps/2)) by at most three
     standard errors, otherwise PackingBoundError is raised.
     """
     union = UnionOfBalls(points, epsilon)
@@ -651,9 +651,11 @@ def hull_of_extension(
 ) -> Polytope:
     """Inner polytope approximation of Conv(A_eps).
 
-    Deterministic sphere samples on each eps-ball boundary; all sampled
-    points lie in A_eps, so the hull is an inner approximation and its
-    volume a lower bound.  Larger boundary_samples only refine it.
+    `boundary_samples` seeded uniform directions, drawn once and shared by
+    every ball, give points on each eps-ball boundary (`ball_boundary_array`);
+    all of them lie in A_eps, so the hull is an inner approximation and its
+    volume a lower bound.  The draws are prefix-stable, so a larger
+    `boundary_samples` only adds points and refines the hull.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rings = ball_boundary_array(pts, epsilon, boundary_samples, seed=seed)
