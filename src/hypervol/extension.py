@@ -28,8 +28,10 @@ from .klein import (
 from .hull import Polytope, convex_hull
 from .rng import substream
 from .volume import (
+    _DEFAULT_REL_TOL,
     Region,
     VolumeEstimate,
+    _orthoscheme_volume,
     polytope_volume,
     preferred_method,
     region_volume_mc,
@@ -365,10 +367,8 @@ def _planar_union_area(points: np.ndarray, epsilon: float) -> VolumeEstimate:
 # ---------------------------------------------------------------------------
 # spatial union: eps-balls clipped to their Voronoi cells
 
-_PIECE = 0.75  # longest Gauss-Legendre piece of a straight side, in v
 _CLIP_BATCH = 1 << 18  # (face, side, side) entries clipped at once
 _MERGE = 2.0 ** -45  # sides closer than this times kappa count as one
-_GRADE = math.log(4.0)  # pieces near a singularity: its distance falls 4x each
 
 
 def _orthonormal_pair(u: np.ndarray):
@@ -386,8 +386,7 @@ def _orthonormal_pair(u: np.ndarray):
     return e1, e2
 
 
-def _spatial_union_volume(points: np.ndarray, epsilon: float,
-                          nodes: int = 16) -> VolumeEstimate:
+def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
     """Volume of the union of eps-balls in 3D, Voronoi cell by cell.
 
     With equal radii the union inside the Voronoi cell V_i of center i is
@@ -414,17 +413,18 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float,
 
     (derived for this routine, not taken from the source paper).  On the
     rim G is constant, so each kept arc of it adds G times its angle.  A
-    straight side at distance p from the chart's pole, parametrised by
-    s = |p| sinh v, has dphi = sign(p) dv / cosh v and tan theta =
-    |p| cosh v; it is integrated by `nodes`-point Gauss-Legendre on pieces
-    at most 0.75 long in v, for the whole union at once (`_side_integrals`).
+    straight side adds M(eps) times the solid angle of its fan triangle
+    less the hyperbolic volume of a Klein tetrahedron, two orthoschemes,
+    for the whole union at once (`_side_integrals`).
 
-    `std_error` bounds the rounding and quadrature error: 64 u kappa
-    cosh(eps)^2 M(eps) per face (plus one) for the rounding of the input,
-    as `_arc_estimate` states it in the plane, 512 u kappa M(eps) per side
-    merged into another (`_clip_sides`), 8 u times the sum of the absolute
-    terms for the sums, and the quadrature error estimate.  It is checked
-    in the tests against 50-digit recomputations.
+    `std_error` bounds the rounding error: 64 u kappa cosh(eps)^2 M(eps)
+    per face (plus one) for the rounding of the input, as `_arc_estimate`
+    states it in the plane, 512 u kappa M(eps) per side merged into
+    another (`_clip_sides`), and 8 u times the sum of the absolute terms,
+    the Lobachevsky terms among them, for the sums.  It is checked in the
+    tests against 50-digit recomputations.  The Lobachevsky terms cancel
+    deeply at small eps, as in `exact_3d`, and past a relative bound of
+    1e-4 the estimate is flagged low_confidence.
     """
     local, half, dup, kappa = _neighbour_frame(points)
     full = ball_volume(3, epsilon)
@@ -434,7 +434,7 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float,
     count = int(points.shape[0] - dup.sum())
     fi, fk = np.nonzero(cut)
     terms = np.zeros(fi.size)
-    magnitude, quad_error, evaluations, merged = count * full, 0.0, 0, 0
+    magnitude, evaluations, merged = count * full, 0, 0
     if fi.size:
         # the half-planes of face (i, k): neighbours l of both i and k
         nbr = np.argsort(~cut, axis=1, kind="stable")[:, :int(cut.sum(axis=1).max())]
@@ -480,17 +480,18 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float,
             ny = np.divide(a2, na, out=np.zeros_like(a2), where=side)
             low, up, keep, merged = _clip_sides(side, nx, ny, p, rim[rows],
                                                 _MERGE * kappa)
-            sides, mag, quad_error, evaluations = _side_integrals(
-                keep, low, up, p, tk[rows], m_eps, nodes)
+            sides, mag, evaluations = _side_integrals(keep, low, up, p, tk[rows], m_eps)
             terms[rows] += sides
             magnitude += mag
     bound = _UNIT_ROUNDOFF * (
         64.0 * kappa * m_eps * (math.cosh(epsilon) ** 2 * (fi.size + 1) + 8 * merged)
         + 8.0 * magnitude
-    ) + quad_error
+    )
     value = count * full - float(terms.sum())
+    achieved = bound / value
     return VolumeEstimate(value, bound, evaluations, "voronoi_cells_union",
-                          achieved_rel_tol=bound / value)
+                          low_confidence=achieved > _DEFAULT_REL_TOL,
+                          achieved_rel_tol=achieved)
 
 
 def _clip_sides(side, nx, ny, p, rim, tol):
@@ -547,64 +548,33 @@ def _clip_sides(side, nx, ny, p, rim, tol):
     return low, up, keep, merged
 
 
-def _side_integrals(keep, low, up, p, tk, m_eps, nodes):
+def _side_integrals(keep, low, up, p, tk, m_eps):
     """Integral of G dphi along every kept side, summed per face.
 
-    With s = |p| sinh v the side runs over v in [asinh(low/|p|),
-    asinh(up/|p|)], and the integrand is sign(p) G(theta) / cosh v with
-    tan theta = |p| cosh v.  G has log singularities where T_k / cos theta
-    = 1, at |v| = reach with |p| cosh(reach) = sqrt(1 / T_k^2 - 1), beyond
-    the rim; they come close to it as eps grows (reach - |v| >= log
-    coth(eps) on the side).  So pieces are at most 0.75 long and at most
-    3 times their distance to the nearer singularity: unit steps in z,
-    which is v / 0.75 up to distance 0.75 / log 4 from reach and grows by
-    one for each further fall of that distance by a factor 4.  The
-    quadrature error estimate is the 8-point rule's difference from the
-    `nodes`-point one, summed in absolute value over pieces: for an
-    analytic integrand it bounds the error of the finer rule with room to
-    spare.  Returns the per-face integrals, the sum of the absolute
-    terms, that estimate and the number of integrand evaluations.
+    By Green's theorem a side P -> Q adds, with the sign of p, the
+    integral of M(eps) - M(rho) over its fan triangle (pole, P, Q):
+    M(eps) times the triangle's solid angle (Van Oosterom & Strackee, "The
+    solid angle of a plane triangle", IEEE Trans. Biomed. Eng. 30, 1983)
+    less the volume of the Klein tetrahedron (O, H, P, Q), H = T_k u_k.
+    That is the orthoscheme with legs T_k, T_k |p|, T_k up less the one
+    with T_k low (`_orthoscheme_volume` is odd in its last leg); P and Q
+    lie in the ball, as T_k^2 (1 + p^2 + s^2) <= tanh(eps)^2 on a kept
+    side.  Returns the per-face integrals, the sum of M(eps) |Omega| and
+    the Lobachevsky magnitudes, and the number of orthoschemes.
     """
     f, l = np.nonzero(keep)
-    pa, t = np.abs(p[f, l]), tk[f]
-    reach = np.arccosh(np.sqrt((1.0 - t) * (1.0 + t)) / t / pa)
-    core = np.maximum(reach - _PIECE / _GRADE, 0.0)  # where pieces stop shrinking
-
-    def z_of(v):
-        far = np.maximum(np.abs(v) - core, 0.0)
-        shrink = np.log((reach - core) / np.maximum(reach - core - far, 1e-300))
-        return np.sign(v) * (np.minimum(np.abs(v), core) / _PIECE + shrink / _GRADE)
-
-    z0 = z_of(np.arcsinh(low[f, l] / pa))
-    z1 = z_of(np.arcsinh(up[f, l] / pa))
-    pieces = np.maximum(np.ceil(z1 - z0), 1.0).astype(int)
-    seg = np.repeat(np.arange(f.size), pieces)
-    step = np.arange(seg.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    z = z0[seg, None] + ((z1 - z0) / pieces)[seg, None] * (step[:, None] + np.array([0.0, 1.0]))
-    core, reach = core[seg, None], reach[seg, None]
-    # back from z to v
-    over = np.maximum(np.abs(z) - core / _PIECE, 0.0)
-    v = np.sign(z) * (np.minimum(np.abs(z) * _PIECE, core)
-                      + (reach - core) * -np.expm1(-_GRADE * over))
-    start, dv = v[:, 0], v[:, 1] - v[:, 0]
-    pa, t = pa[seg, None], t[seg, None]
-
-    def rule(k):
-        x, w = np.polynomial.legendre.leggauss(k)
-        ch = np.cosh(start[:, None] + (0.5 * dv)[:, None] * (1.0 + x))
-        tan2 = (pa * ch) ** 2
-        sec = np.sqrt(1.0 + tan2)
-        parts = (m_eps * tan2 / (sec * (1.0 + sec)),  # M(eps) (1 - cos theta)
-                 0.5 * np.arctanh(t * sec) / sec, 0.5 * np.arctanh(t))
-        weight = (0.5 * dv)[:, None] * w / ch
-        return (((parts[0] - parts[1] + parts[2]) * weight).sum(axis=1),
-                float(((parts[0] + parts[1] + parts[2]) * weight).sum()))
-
-    fine, magnitude = rule(nodes)
-    coarse, _ = rule(nodes // 2)
-    per_side = np.sign(p[f, l]) * np.bincount(seg, weights=fine, minlength=f.size)
+    pa, t, s0, s1 = np.abs(p[f, l]), tk[f], low[f, l], up[f, l]
+    b = np.sqrt(1.0 + pa * pa + s0 * s0)
+    c = np.sqrt(1.0 + pa * pa + s1 * s1)
+    # the fan triangle's solid angle, from its vertices (0, 0, 1), (|p|, low, 1)
+    # and (|p|, up, 1) in the frame (n, t, u_k)
+    omega = 2.0 * np.arctan2(pa * (s1 - s0), b * c + b + c + 1.0 + pa * pa + s0 * s1)
+    vol_up, mag_up = _orthoscheme_volume(t, t * pa, t * s1)
+    vol_low, mag_low = _orthoscheme_volume(t, t * pa, t * s0)
+    per_side = np.sign(p[f, l]) * (m_eps * omega - (vol_up - vol_low))
+    magnitude = float(np.sum(m_eps * np.abs(omega) + mag_up + mag_low))
     return (np.bincount(f, weights=per_side, minlength=keep.shape[0]), magnitude,
-            float(np.abs(fine - coarse).sum()), seg.size * (nodes + nodes // 2))
+            2 * f.size)
 
 
 def extension_volume(

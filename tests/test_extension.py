@@ -692,17 +692,6 @@ def test_spatial_union_pulls_against_region_mc():
     assert within >= 0.8, pulls
 
 
-def test_spatial_gauss_rules_agree():
-    # the straight sides' 16-point rule against a 32-point one
-    from hypervol.extension import _spatial_union_volume
-
-    for pts, eps, _ in _criterion8_spatial():
-        a = _spatial_union_volume(pts, eps)
-        b = _spatial_union_volume(pts, eps, nodes=32)
-        assert abs(a.value - b.value) <= 1e-13 * a.value
-        assert abs(a.value - b.value) <= a.std_error
-
-
 def test_extension_volume_spatial_route():
     pts = generate_points("clustered", 3, 20, 3)
     est = extension_volume(pts, 1.0)
@@ -865,6 +854,20 @@ def test_spatial_union_within_its_stated_bound(pts, eps):
     est = _spatial(pts, eps)
     assert abs(est.value - float(_mp_spatial(pts, eps))) <= est.std_error
     assert est.achieved_rel_tol == est.std_error / est.value < 1e-9
+
+
+@pytest.mark.parametrize("seed, eps, radius, flagged", [
+    (23, 1e-4, 1.2e-4, True),
+    (22, 1e-3, 1.2e-3, False),
+], ids=["eps-1e-4", "eps-1e-3"])
+def test_spatial_union_flags_small_eps(seed, eps, radius, flagged):
+    # the sides' Lobachevsky terms cancel deeply at small eps, as in
+    # exact_3d: the bound still holds, and past 1e-4 relative it is flagged
+    pts = generate_points("uniform-ball", 3, 6, seed, radius=radius)
+    est = _spatial(pts, eps)
+    assert abs(est.value - float(_mp_spatial(pts, eps))) <= est.std_error
+    assert est.low_confidence is flagged
+    assert (est.achieved_rel_tol > 1e-4) is flagged
 
 
 _SPATIAL = dict(k=st.integers(1, 10), eps=st.floats(0.05, 2.0),
