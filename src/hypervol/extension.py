@@ -463,7 +463,9 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
                                     ratio < 1.0, np.zeros(fi.size, dtype=bool))
         kept = np.bincount(owner, weights=hi - lo, minlength=fi.size)
         terms = (m_eps * (1.0 - c0) - 0.5 * (c0 * epsilon - np.arctanh(tk))) * kept
-        magnitude += float(np.sum(np.abs(terms)))
+        # its three parts cancel at small eps, so each counts to the rounding
+        magnitude += float(np.sum((m_eps * (1.0 - c0) + 0.5 * (c0 * epsilon + np.arctanh(tk)))
+                                  * kept))
         # the straight sides: lines that cross the rim of a face that no
         # single half-plane removes whole
         side = (np.abs(p) < rim[:, None]) & ~(ratio <= -1.0).any(axis=1)[:, None]

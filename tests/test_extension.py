@@ -844,12 +844,14 @@ def test_spatial_union_of_cospherical_centers(pts, eps):
     (translation_to(np.array([math.tanh(5.0), 0.0, 0.0])).apply_array(
         generate_points("uniform-ball", 3, 6, 2, radius=0.8)), 0.7),
     (generate_points("uniform-ball", 3, 6, 11, radius=0.06), 0.05),
+    # rim arcs only, whose terms cancel at small eps
+    (generate_points("uniform-ball", 3, 7, 1, radius=0.25), 0.0546875),
     # large eps: the side integrand's log singularity near the rim
     (generate_points("uniform-ball", 3, 6, 12, radius=1.5), 2.0),
     (generate_points("uniform-ball", 3, 6, 12, radius=1.5), 3.0),
     (generate_points("uniform-ball", 3, 6, 14, radius=1.0), 5.0),
 ], ids=["tangent-apart", "tangent-overlap", "tangent-moved", "tetrahedron",
-        "square", "far-out", "small-eps", "eps-2", "eps-3", "eps-5"])
+        "square", "far-out", "small-eps", "rim-only", "eps-2", "eps-3", "eps-5"])
 def test_spatial_union_within_its_stated_bound(pts, eps):
     est = _spatial(pts, eps)
     assert abs(est.value - float(_mp_spatial(pts, eps))) <= est.std_error
