@@ -141,7 +141,7 @@ def test_theorem2_check_csv_pinned():
     header, rows, _, _ = cmd_theorem2_check(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "3bd167a19b0e882799f20171ba61b15abc297abe3791e55dc9657e47a09cfb17")
+        "68eaa984f1d2c14bf76c484b53c64db40483b72353b91160b4698a9f4d05fd4d")
 
 
 def test_theorem1_sweep_csv_pinned():
