@@ -336,7 +336,7 @@ def test_criterion8_packing_suite():
     t0 = time.perf_counter()
     families = ("uniform-ball", "clustered", "chain")
     bad = []
-    min_pull = math.inf
+    min_pull = min_rel = math.inf
     for j in range(50):
         n = 2 if j % 2 == 0 else 3
         family = families[j % 3]
@@ -362,6 +362,7 @@ def test_criterion8_packing_suite():
         floor = len(pack) * hv.ball_volume(n, eps / 2.0)
         pull = (est.value - floor) / est.std_error
         min_pull = min(min_pull, pull)
+        min_rel = min(min_rel, est.value / floor - 1.0)
         if est.low_confidence:
             bad.append(f"instance {j}: low-confidence volume estimate")
         if est.value < floor - 3.0 * est.std_error:
@@ -369,7 +370,8 @@ def test_criterion8_packing_suite():
                        f"floor {floor:.4f}")
     _report("criterion 8", not bad,
             f"50 instances: separation and covering exact; "
-            f"Vol(A_eps) >= N ball(eps/2) with min margin {min_pull:.1f} sigma"
+            f"Vol(A_eps) >= N ball(eps/2) with min margin {min_pull:.1f} sigma, "
+            f"min relative margin Vol / floor - 1 = {min_rel:.4f}"
             + ("; " + "; ".join(bad) if bad else ""), t0, 600.0)
 
 
