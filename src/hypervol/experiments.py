@@ -306,9 +306,8 @@ def cmd_theorem2_check(config: RunConfig):
     ("kept_arcs_hull", "kept_arcs_union"), 3D rows a ring hull and the
     Voronoi-cell union ("voronoi_cells_union"), and from n = 4 on the
     union is Monte Carlo (see `theorem2_ratio`).  `union_std_error` is the
-    union's stated error: a rounding and quadrature bound for the closed
-    forms, 0 for the Euclidean companion, the standard error for Monte
-    Carlo.
+    union's stated error: a rounding bound for the closed forms, 0 for the
+    Euclidean companion, the standard error for Monte Carlo.
     """
     header = [
         "instance", "family", "n", "epsilon", "d", "seed", "budget",

@@ -593,10 +593,10 @@ def extension_volume(
     "kept_arcs_union"), and in 3D it is the sum over Voronoi cells
     (`_spatial_union_volume`, method "voronoi_cells_union"); there
     `samples`, `seed` and `workers` go unused, and `std_error` is an
-    absolute rounding (and quadrature) bound, not a sampling error.  From
-    n = 4 on it is region Monte Carlo with `samples` draws.  The estimate
-    may fall below the floor N_pack * Vol(B(eps/2)) by at most three
-    standard errors, otherwise PackingBoundError is raised.
+    absolute rounding bound, not a sampling error.  From n = 4 on it is
+    region Monte Carlo with `samples` draws.  The estimate may fall below
+    the floor N_pack * Vol(B(eps/2)) by at most three standard errors,
+    otherwise PackingBoundError is raised.
     """
     union = UnionOfBalls(points, epsilon)
     pts = union.centers
