@@ -420,11 +420,11 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
     `std_error` bounds the rounding error: 64 u kappa cosh(eps)^2 M(eps)
     per face (plus one) for the rounding of the input, as `_arc_estimate`
     states it in the plane, 512 u kappa M(eps) per side merged into
-    another (`_clip_sides`), and 8 u times the sum of the absolute terms,
-    the Lobachevsky terms among them, for the sums.  It is checked in the
-    tests against 50-digit recomputations.  The Lobachevsky terms cancel
-    deeply at small eps, as in `exact_3d`, and past a relative bound of
-    1e-4 the estimate is flagged low_confidence.
+    another (`_clip_sides`), and for the sums 8 u times the magnitudes of
+    the parts of each rim term, each solid angle and each Lobachevsky
+    term, which all cancel at small eps.  It is checked in the tests
+    against 50-digit recomputations.  Past a relative bound of 1e-4, near
+    eps = 1e-4, the estimate is flagged low_confidence, as in `exact_3d`.
     """
     local, half, dup, kappa = _neighbour_frame(points)
     full = ball_volume(3, epsilon)
@@ -463,7 +463,6 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
                                     ratio < 1.0, np.zeros(fi.size, dtype=bool))
         kept = np.bincount(owner, weights=hi - lo, minlength=fi.size)
         terms = (m_eps * (1.0 - c0) - 0.5 * (c0 * epsilon - np.arctanh(tk))) * kept
-        # its three parts cancel at small eps, so each counts to the rounding
         magnitude += float(np.sum((m_eps * (1.0 - c0) + 0.5 * (c0 * epsilon + np.arctanh(tk)))
                                   * kept))
         # the straight sides: lines that cross the rim of a face that no
@@ -490,10 +489,9 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
         + 8.0 * magnitude
     )
     value = count * full - float(terms.sum())
-    achieved = bound / value
     return VolumeEstimate(value, bound, evaluations, "voronoi_cells_union",
-                          low_confidence=achieved > _DEFAULT_REL_TOL,
-                          achieved_rel_tol=achieved)
+                          low_confidence=bound > _DEFAULT_REL_TOL * value,
+                          achieved_rel_tol=bound / value)
 
 
 def _clip_sides(side, nx, ny, p, rim, tol):
@@ -575,8 +573,7 @@ def _side_integrals(keep, low, up, p, tk, m_eps):
     vol_low, mag_low = _orthoscheme_volume(t, t * pa, t * s0)
     per_side = np.sign(p[f, l]) * (m_eps * omega - (vol_up - vol_low))
     magnitude = float(np.sum(m_eps * np.abs(omega) + mag_up + mag_low))
-    return (np.bincount(f, weights=per_side, minlength=keep.shape[0]), magnitude,
-            2 * f.size)
+    return np.bincount(f, weights=per_side, minlength=keep.shape[0]), magnitude, 2 * f.size
 
 
 def extension_volume(

@@ -846,7 +846,7 @@ def test_spatial_union_of_cospherical_centers(pts, eps):
     (generate_points("uniform-ball", 3, 6, 11, radius=0.06), 0.05),
     # rim arcs only, whose terms cancel at small eps
     (generate_points("uniform-ball", 3, 7, 1, radius=0.25), 0.0546875),
-    # large eps: the side integrand's log singularity near the rim
+    # large eps, where G's log singularity comes close to the rim
     (generate_points("uniform-ball", 3, 6, 12, radius=1.5), 2.0),
     (generate_points("uniform-ball", 3, 6, 12, radius=1.5), 3.0),
     (generate_points("uniform-ball", 3, 6, 14, radius=1.0), 5.0),
