@@ -51,7 +51,7 @@ from .klein import (
 )
 from .hull import Polytope, Simplex
 from .rng import _chunk_sums, _mean_se
-from .volume import _DEFAULT_REL_TOL, VolumeEstimate, _budget, _dirichlet_draw
+from .volume import VolumeEstimate, _budget, _dirichlet_draw, _stated
 
 __all__ = [
     "PHI_CAP",
@@ -432,15 +432,8 @@ def cone_volume(sections: list[ConeSection]) -> VolumeEstimate:
         err += e
         evals += k
     achieved = err / max(abs(sum(vals)), 1e-300)
-    z_n = unit_sphere_area(n - 2)
-    return VolumeEstimate(
-        value=z_n * float(np.mean(vals)),
-        std_error=0.0,
-        evaluations=evals,
-        method="quadrature",
-        low_confidence=achieved > _DEFAULT_REL_TOL,
-        achieved_rel_tol=achieved,
-    )
+    return _stated(unit_sphere_area(n - 2) * float(np.mean(vals)), achieved,
+                   evals, "quadrature")
 
 
 # ---------------------------------------------------------------------------

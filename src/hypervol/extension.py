@@ -28,10 +28,10 @@ from .klein import (
 from .hull import Polytope, convex_hull
 from .rng import substream
 from .volume import (
-    _DEFAULT_REL_TOL,
     Region,
     VolumeEstimate,
     _orthoscheme_volume,
+    _stated,
     polytope_volume,
     preferred_method,
     region_volume_mc,
@@ -285,13 +285,13 @@ def _arc_estimate(value: float, arcs: int, magnitude: float, kappa: float,
     is 64 u kappa cosh(eps)^2 per kept arc (plus one), and u * arcs *
     `magnitude` (the sum of |terms|) for the final sum.  It is a stated
     bound, checked in the tests against the same areas in 50-digit
-    arithmetic.
+    arithmetic; past 1e-4 of the area, at eps near 1e-6, the estimate is
+    flagged low_confidence.
     """
     bound = _UNIT_ROUNDOFF * (
         64.0 * kappa * math.cosh(epsilon) ** 2 * (arcs + 1) + arcs * magnitude
     )
-    return VolumeEstimate(value, bound, arcs, method,
-                          achieved_rel_tol=bound / value)
+    return _stated(value, bound / value, arcs, method, bound)
 
 
 def _planar_hull_area(points: np.ndarray, epsilon: float) -> VolumeEstimate:
@@ -489,9 +489,7 @@ def _spatial_union_volume(points: np.ndarray, epsilon: float) -> VolumeEstimate:
         + 8.0 * magnitude
     )
     value = count * full - float(terms.sum())
-    return VolumeEstimate(value, bound, evaluations, "voronoi_cells_union",
-                          low_confidence=bound > _DEFAULT_REL_TOL * value,
-                          achieved_rel_tol=bound / value)
+    return _stated(value, bound / value, evaluations, "voronoi_cells_union", bound)
 
 
 def _clip_sides(side, nx, ny, p, rim, tol):
@@ -652,9 +650,9 @@ def theorem2_ratio(
     (facet quadrature with evaluation budget `budget` from n = 4), and
     the union is `extension_volume`'s: closed over Voronoi cells in 3D,
     Monte Carlo with `samples` draws from n = 4 on.  The ratio is
-    low_confidence when the hull estimate is, or when the union's relative
-    SE exceeds 5%; a union estimate of 0 (no sample hit a ball) gives
-    ratio inf.
+    low_confidence when either estimate is (a stated error past 1e-4
+    relative, a Monte Carlo SE past 5 %); a union estimate of 0 (no sample
+    hit a ball) gives ratio inf.
     """
     union_est = extension_volume(
         points, epsilon, samples=samples, seed=seed, workers=workers,
@@ -667,12 +665,11 @@ def theorem2_ratio(
         poly = hull_of_extension(pts, epsilon, boundary_samples, seed=seed)
         hull_est = polytope_volume(poly, preferred_method(poly.dim), budget=budget)
     hit = union_est.value > 0
-    rel = union_est.std_error / union_est.value if hit else math.inf
     return {
         "hull": hull_est,
         "union": union_est,
         "ratio": hull_est.value / union_est.value if hit else math.inf,
-        "low_confidence": bool(hull_est.low_confidence or rel > 0.05),
+        "low_confidence": bool(hull_est.low_confidence or union_est.low_confidence),
     }
 
 

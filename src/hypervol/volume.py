@@ -228,7 +228,10 @@ def _radial_mass_ratio(n: int, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simplex and polytope volumes
 
+# An estimate is flagged low_confidence past these: a stated relative error
+# (closed forms and quadrature) and a Monte Carlo relative standard error.
 _DEFAULT_REL_TOL = 1e-4
+_MC_REL_SE = 0.05
 # Rounding bound of exact_3d per unit of Lobachevsky-term magnitude.  On
 # random tetrahedra at scales 1e-4 to 0.5, the error against a 40-digit
 # evaluation of the same orthoscheme terms stayed under 0.35 eps times
@@ -246,6 +249,28 @@ def _budget(budget, default: int) -> int:
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget!r}")
     return int(budget)
+
+
+def _stated(value: float, rel: float, evaluations: int, method: str,
+            std_error: float = 0.0) -> VolumeEstimate:
+    """A deterministic route's estimate with its stated relative error.
+
+    The routes that state a relative error build their estimates here, so
+    that one past 1e-4 is always flagged low_confidence.
+    """
+    return VolumeEstimate(value, std_error, evaluations, method,
+                          low_confidence=rel > _DEFAULT_REL_TOL,
+                          achieved_rel_tol=rel)
+
+
+def _sampled(mean: float, se: float, samples: int) -> VolumeEstimate:
+    """A Monte Carlo estimate, flagged past a relative SE of 5 %.
+
+    Written as `not se <= 5 % of mean`, so that a zero mean with a
+    positive SE is flagged too.
+    """
+    return VolumeEstimate(mean, se, samples, "monte_carlo",
+                          low_confidence=not se <= _MC_REL_SE * mean)
 
 
 def _dirichlet_draw(rng, verts: np.ndarray, m: int):
@@ -267,12 +292,7 @@ def _simplex_mc(verts: np.ndarray, samples: int, seed: int) -> VolumeEstimate:
 
     total, total_sq = _chunk_sums(seed, samples, MC_CHUNK, stats).tolist()
     mean, se = _mean_se(total, total_sq, samples)
-    return VolumeEstimate(
-        value=vol_e * mean,
-        std_error=vol_e * se,
-        evaluations=samples,
-        method="monte_carlo",
-    )
+    return _sampled(vol_e * mean, vol_e * se, samples)
 
 
 def preferred_method(n: int) -> str:
@@ -337,14 +357,7 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
         evals += k * cost
     total = float(kid_vals[:size].sum())
     achieved = float(err[:size].sum()) / max(abs(total), 1e-300)
-    return VolumeEstimate(
-        value=max(total, 0.0),
-        std_error=0.0,
-        evaluations=evals,
-        method="quadrature",
-        low_confidence=achieved > _DEFAULT_REL_TOL,
-        achieved_rel_tol=achieved,
-    )
+    return _stated(max(total, 0.0), achieved, evals, "quadrature")
 
 
 def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
@@ -360,10 +373,7 @@ def _exact_3d(verts: np.ndarray, center, facets) -> VolumeEstimate:
     value, magnitude = _orthoscheme_sum(mapped[np.asarray(facets)])
     value = max(value, 0.0)
     achieved = _EXACT_3D_ROUNDING * magnitude / max(value, 1e-300)
-    return VolumeEstimate(
-        value, 0.0, 6 * len(facets), "exact_3d",
-        low_confidence=achieved > _DEFAULT_REL_TOL, achieved_rel_tol=achieved,
-    )
+    return _stated(value, achieved, 6 * len(facets), "exact_3d")
 
 
 def _check_dim(method: str, n: int) -> None:
@@ -478,7 +488,7 @@ def polytope_volume(
             value += est.value
             var += est.std_error ** 2
             evals += est.evaluations
-        return VolumeEstimate(value, math.sqrt(var), evals, "monte_carlo")
+        return _sampled(value, math.sqrt(var), evals)
     return _quadrature(poly.vertices, poly.interior_point(), poly.facets,
                        quad_evals)
 
@@ -498,8 +508,9 @@ def region_volume_mc(
     segment, and reweighting by the true sinh^(n-1) density keeps the
     estimator unbiased despite the table.  Each contribution is bounded,
     however close to the boundary sphere the bounding radius lies.  Zero
-    hits return value 0 with a rule-of-three standard error and the
-    low_confidence flag.  The estimate is identical for any `workers` value
+    hits return value 0 with a rule-of-three standard error.  The estimate
+    is flagged low_confidence when its standard error exceeds 5 % of its
+    value, zero hits included.  It is identical for any `workers` value
     (see `rng._chunk_sums`).
     """
     n = region.dim
@@ -525,12 +536,8 @@ def region_volume_mc(
     c_sum, c_sum_sq, hits = _chunk_sums(seed, samples, MC_CHUNK, stats,
                                         workers).tolist()
     if hits == 0:
-        return VolumeEstimate(
-            value=0.0, std_error=total * area * 3.0 / samples,
-            evaluations=samples, method="monte_carlo", low_confidence=True,
-        )
-    mean, se = _mean_se(c_sum, c_sum_sq, samples)
-    return VolumeEstimate(mean, se, samples, "monte_carlo")
+        return _sampled(0.0, total * area * 3.0 / samples, samples)
+    return _sampled(*_mean_se(c_sum, c_sum_sq, samples), samples)
 
 
 # ---------------------------------------------------------------------------

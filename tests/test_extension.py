@@ -532,6 +532,26 @@ def test_planar_areas_within_their_rounding_bound(pts, eps):
     assert union.achieved_rel_tol == union.std_error / union.value < 1e-9
 
 
+@pytest.mark.parametrize("eps, flagged", [(1e-6, True), (1e-2, False)],
+                         ids=["eps-1e-6", "eps-1e-2"])
+def test_planar_areas_flag_small_eps(eps, flagged):
+    # the arc terms cancel down to an area of order eps^2: at eps = 1e-6
+    # both areas state 6.3e-3 relative, past the 1e-4 of every stated route
+    pts = generate_points("uniform-ball", 2, 6, 23, radius=1.2 * eps)
+    for est in _planar(pts, eps):
+        assert est.low_confidence is flagged
+        assert (est.achieved_rel_tol > 1e-4) is flagged
+
+
+@pytest.mark.parametrize("n, eps", [(2, 1e-6), (3, 1e-4)])
+def test_theorem2_flag_is_either_estimates(n, eps):
+    pts = generate_points("uniform-ball", n, 6, 23, radius=1.2 * eps)
+    out = theorem2_ratio(pts, eps, boundary_samples=16)
+    assert out["union"].low_confidence
+    assert out["low_confidence"] == (out["hull"].low_confidence
+                                     or out["union"].low_confidence)
+
+
 _PLANAR = dict(k=st.integers(1, 14), eps=st.floats(0.05, 2.0),
                radius=st.floats(0.2, 3.0), seed=st.integers(0, 2**20))
 

@@ -139,6 +139,27 @@ def test_polytope_mc_vs_quadrature_3d():
     assert abs(mc.value - quad.value) < 4 * mc.std_error + 1e-9
 
 
+_NEAR_IDEAL_TRI = [[0.0, 0.0], [0.999, 0.0], [0.0, 0.999]]
+_IDEAL_HULL_3D = generate_points("uniform-ideal", 3, 12, 5)
+
+
+@pytest.mark.parametrize("simplex_budget, polytope_budget, flagged", [
+    (200, 2_000, True), (200_000, 200_000, False)])
+def test_simplex_and_polytope_mc_flag_past_five_percent(
+        simplex_budget, polytope_budget, flagged):
+    # relative SEs of 0.069 and 0.062 at the small budgets, 0.012 and 0.015
+    # at 200 000 samples
+    ests = [
+        simplex_volume(_NEAR_IDEAL_TRI, "monte_carlo", budget=simplex_budget,
+                       seed=1),
+        polytope_volume(convex_hull(_IDEAL_HULL_3D), "monte_carlo",
+                        budget=polytope_budget, seed=1),
+    ]
+    for est in ests:
+        assert est.low_confidence is flagged
+        assert (est.std_error > 0.05 * est.value) is flagged
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         polytope_volume(convex_hull(TRI), method="auto")
