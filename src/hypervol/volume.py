@@ -210,19 +210,13 @@ def _rule(cells: np.ndarray) -> np.ndarray:
 
 
 def _radial_mass_ratio(n: int, r: np.ndarray) -> np.ndarray:
-    """m_n(r)/r^n with the small-r limit 1/n handled by series."""
-    r = np.asarray(r, dtype=float)
-    r = np.minimum(r, 1.0 - BOUNDARY_TOL)
-    out = np.empty_like(r)
-    small = r < 1e-3
-    if np.any(small):
-        rs = r[small]
-        out[small] = 1.0 / n + (n + 1) * rs * rs / (2.0 * (n + 2))
-    big = ~small
-    if np.any(big):
-        rb = r[big]
-        out[big] = sinh_power_integral(n - 1, np.arctanh(rb)) / rb ** n
-    return out
+    """m_n(r)/r^n, for r > 0.
+
+    `sinh_power_integral` takes its Taylor series at small r, so the ratio
+    keeps full relative accuracy down to the limit 1/n.
+    """
+    r = np.minimum(np.asarray(r, dtype=float), 1.0 - BOUNDARY_TOL)
+    return sinh_power_integral(n - 1, np.arctanh(r)) / r ** n
 
 
 # ---------------------------------------------------------------------------

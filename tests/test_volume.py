@@ -8,6 +8,7 @@ at least two of them against each other.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from hypervol import (
 )
 from hypervol.hull import apex_triangulation
 from hypervol.klein import _radial_table
-from hypervol.volume import lobachevsky, preferred_method
+from hypervol.volume import _radial_mass_ratio, lobachevsky, preferred_method
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
 TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
@@ -240,6 +241,29 @@ def test_region_mc_workers_invariance():
     four = region_volume_mc(region, samples=150_000, seed=17, workers=4)
     assert one.value == four.value
     assert one.std_error == four.std_error
+
+
+def _mp_radial_mass(n, r):
+    """m_n(r) in closed form; the terms cancel at small r, hence 80 digits."""
+    with mpmath.workdps(80):
+        r = mpmath.mpf(float(r))
+        g = 1 - r * r
+        return {
+            2: g ** -0.5 - 1,
+            3: r / (2 * g) - mpmath.atanh(r) / 2,
+            4: g ** -1.5 / 3 - g ** -0.5 + mpmath.mpf(2) / 3,
+        }[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_mass_ratio_at_small_r(n):
+    # across 1e-3, where a two-term series once took over and lost 1e-12
+    r = np.array([1e-9, 5e-4, 9.99e-4, 1.001e-3, 5e-3])
+    got = _radial_mass_ratio(n, r)
+    for ri, gi in zip(r, got):
+        with mpmath.workdps(80):
+            want = float(_mp_radial_mass(n, ri) / mpmath.mpf(float(ri)) ** n)
+        assert abs(gi - want) <= 1e-14 * want
 
 
 def test_region_mc_zero_hits_low_confidence():
