@@ -51,7 +51,7 @@ from .klein import (
 )
 from .hull import Polytope, Simplex
 from .rng import _chunk_sums, _mean_se
-from .volume import VolumeEstimate, _budget, _dirichlet_draw, _stated
+from .volume import VolumeEstimate, _budget, _dirichlet_draw, _sampled, _stated
 
 __all__ = [
     "PHI_CAP",
@@ -631,7 +631,8 @@ def verify_facet_decomposition(
     D must be the cone conv(0, F) over a facet F of poly, origin first.
     All volumes share one Dirichlet sample of D, so the inequality is
     tested on correlated estimates and the margin is reported in standard
-    errors of the per-sample statistic w (2^n sum_i 1_i - 1).  Each
+    errors of the per-sample statistic w (2^n sum_i 1_i - 1); vol_D and
+    vol_parts carry the standard errors of their own sample means.  Each
     indicator 1_i tests the sample against C~_(x_i) as a union of simplices
     (`_tilde_cone_inverses`), built before the first sample is drawn.
     `budget` is the sample count: None reads as 200 000 and a budget below
@@ -663,17 +664,19 @@ def verify_facet_decomposition(
             indic[:, i] = _in_tilde_cone(pts, invs[i])
         t_stat = w * (two_n * _row_sum(indic) - 1.0)
         return np.concatenate([
-            [w.sum(), t_stat.sum(), (t_stat * t_stat).sum()],
+            [w.sum(), t_stat.sum(), (t_stat * t_stat).sum(), (w * w).sum()],
             (w[:, None] * indic).sum(axis=0),
+            (w[:, None] ** 2 * indic).sum(axis=0),
         ])
 
-    sum_w, sum_t, sum_t2, *sum_w_parts = _chunk_sums(seed, budget, 16384,
-                                                     stats).tolist()
-    mean_w = sum_w / budget
-    vol_d = VolumeEstimate(vol_e * mean_w, 0.0, budget, "monte_carlo")
+    sum_w, sum_t, sum_t2, sum_w2, *rest = _chunk_sums(seed, budget, 16384,
+                                                      stats).tolist()
+    # each value keeps its own expression: the pinned values depend on it
+    vol_d = _sampled(vol_e * (sum_w / budget),
+                     vol_e * _mean_se(sum_w, sum_w2, budget)[1], budget)
     parts = [
-        VolumeEstimate(vol_e * sw / budget, 0.0, budget, "monte_carlo")
-        for sw in sum_w_parts
+        _sampled(vol_e * sw / budget, vol_e * _mean_se(sw, sw2, budget)[1], budget)
+        for sw, sw2 in zip(rest[:n], rest[n:])
     ]
     sum_parts = float(sum(p.value for p in parts))
     mean_t, sem_t = _mean_se(sum_t, sum_t2, budget)

@@ -120,6 +120,19 @@ def test_facet_decomposition_pinned():
     assert out["margin_sigmas"] == 192.42706614888615
 
 
+def test_facet_decomposition_volume_pulls():
+    # vol_D states the standard error of its own sample mean
+    d_simplex, poly = _facet_case()
+    exact = simplex_volume(d_simplex, "exact_3d").value
+    pulls = []
+    for seed in range(30):
+        vol_d = verify_facet_decomposition(d_simplex, poly, budget=20_000,
+                                           seed=seed)["vol_D"]
+        pulls.append((vol_d.value - exact) / vol_d.std_error)
+    assert abs(np.mean(pulls)) <= 0.5
+    assert 0.7 <= np.std(pulls, ddof=1) <= 1.3
+
+
 def test_mass_near_vertices_pinned():
     cfg = RunConfig(command="mass-near-vertices", dims=(2, 3), r_values=(1.0,),
                     c_values=(0.2, 0.5), mc_samples=70_000, seed=2)
