@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from hypervol import (
@@ -898,6 +898,8 @@ _SPATIAL = dict(k=st.integers(1, 10), eps=st.floats(0.05, 2.0),
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**_SPATIAL)
+# a rim-only union whose rounding bound once undercounted its rim terms
+@example(k=7, eps=0.0546875, radius=0.25, seed=1)
 def test_spatial_union_is_invariant(k, eps, radius, seed):
     pts = generate_points("uniform-ball", 3, k, seed, radius=radius)
     base = _spatial(pts, eps)
