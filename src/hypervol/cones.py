@@ -15,14 +15,15 @@ volume is a revolution-type integral around the axis [0, x]:
     Vol = Z_n * mean_theta  integral_section  d(q, axis)^(n-2) v_n(q) dA(q),
 
 with Z_n the surface area of the unit (n-2)-sphere (validated against the
-rotationally symmetric case).  Two independent charts evaluate the section
-integral: a polar chart around the origin (the implementation) and an
-iterated chart anchored at the ideal vertex (the Lemma-style bounding
-integral, kept as an oracle).  In the anchored chart with coordinates
-(u, v), point = (1-u) x + v theta, the section with origin angle phi is
-{0 <= u <= 1, 0 <= v <= L(u)} where L(u) = u cot(phi) up to u = sin^2(phi)
-and (1-u) tan(phi) beyond, and the inner v-integral has the exact
-antiderivative v^(n-1) / ((n-1) D (D - v^2)^((n-1)/2)), D = 2u - u^2.
+rotationally symmetric case).  At n = 2 a section integral is the area of
+its triangle, and `cone_volume` takes the angle defects.  From n = 3 on two
+independent charts evaluate it: a polar chart around the origin (the
+implementation) and an iterated chart anchored at the ideal vertex (the
+Lemma-style bounding integral, kept as an oracle).  In the anchored chart
+with coordinates (u, v), point = (1-u) x + v theta, the section with origin
+angle phi is {0 <= u <= 1, 0 <= v <= L(u)} where L(u) = u cot(phi) up to
+u = sin^2(phi) and (1-u) tan(phi) beyond, and the inner v-integral has the
+exact antiderivative v^(n-1) / ((n-1) D (D - v^2)^((n-1)/2)), D = 2u - u^2.
 One routine integrates this chart over a triangle given by its (u, v)
 vertices, each u-interval split geometrically and integrated by QUADPACK
 to epsabs 1e-14, epsrel 1e-9; the uv chart of a (possibly truncated)
@@ -40,6 +41,7 @@ import numpy as np
 from scipy import integrate
 
 from .klein import (
+    BOUNDARY_TOL,
     IdealPoint,
     KleinPoint,
     _check_dimension,
@@ -51,7 +53,14 @@ from .klein import (
 )
 from .hull import Polytope, Simplex
 from .rng import _chunk_sums, _mean_se
-from .volume import VolumeEstimate, _budget, _dirichlet_draw, _sampled, _stated
+from .volume import (
+    VolumeEstimate,
+    _angle_defects,
+    _budget,
+    _dirichlet_draw,
+    _sampled,
+    _stated,
+)
 
 __all__ = [
     "PHI_CAP",
@@ -81,6 +90,12 @@ __all__ = [
 # Sections with a larger origin angle are flagged; adding ideal points can
 # always densify a configuration below the cap without shrinking the hull.
 PHI_CAP = math.atan(0.1)
+# Rounding bound of a section's angle defect per unit of 1/(1 - |v|^2),
+# summed over its finite vertices v: 8 u pi, u = 2^-53.  On 800 random
+# sections (ideal apex or truncated to 1e-11 .. 1e-2 from the circle, phi
+# from 1e-4 to 0.1, far points up to 1e-10 from the circle) the error
+# against a 50-digit recomputation stayed under 0.02 of it.
+_DEFECT_ROUNDING = 8.0 * math.pi * 2.0 ** -53
 
 
 def _quad(f, a, b, **kw):
@@ -409,12 +424,14 @@ def cone_volume(sections: list[ConeSection]) -> VolumeEstimate:
     """Assembled cone volume Z_n * mean over grid sections.
 
     n is the dimension of the sections' shared apex.  Z_n is the unit
-    (n-2)-sphere area; for n = 2 it equals 2 and the mean
-    over the two sections reduces to the plain sum of the two triangle
-    areas, so no special casing is needed.
-
-    achieved_rel_tol is QUADPACK's summed error estimate over the summed
-    section integrals, and low_confidence is set past 1e-4.
+    (n-2)-sphere area.  For n = 2 it equals 2, each section integral is
+    the hyperbolic area of its triangle, and the areas are the angle
+    defects (method "exact_2d", 3 evaluations per section), each with the
+    rounding bound 8 u pi sum 1/(1 - |v|^2) over its finite vertices v.
+    From n = 3 on each section integral is one QUADPACK call in the polar
+    chart (method "quadrature"), with QUADPACK's error estimate.
+    achieved_rel_tol is the summed error over the summed section
+    integrals, and low_confidence is set past 1e-4.
     """
     if not sections:
         raise ValueError("need at least one section")
@@ -423,17 +440,27 @@ def cone_volume(sections: list[ConeSection]) -> VolumeEstimate:
     for s in sections[1:]:
         if np.linalg.norm(s.apex.direction - x0) > 1e-9:
             raise ValueError("sections must share an apex")
-    vals = []
-    err = 0.0
-    evals = 0
-    for s in sections:
-        v, e, k = _section_integral_polar(s, n)
-        vals.append(v)
-        err += e
-        evals += k
+    if n == 2:
+        tri = np.array([[s.apex_radius * s.apex.direction, s.far_point,
+                         np.zeros(2)] for s in sections])
+        vals = _angle_defects(tri)
+        norm2 = np.einsum("kij,kij->ki", tri, tri)
+        finite = norm2 < (1.0 - BOUNDARY_TOL) ** 2
+        err = _DEFECT_ROUNDING * float(np.sum(1.0 / (1.0 - norm2[finite])))
+        evals, method = 3 * len(sections), "exact_2d"
+    else:
+        vals = []
+        err = 0.0
+        evals = 0
+        for s in sections:
+            v, e, k = _section_integral_polar(s, n)
+            vals.append(v)
+            err += e
+            evals += k
+        method = "quadrature"
     achieved = err / max(abs(sum(vals)), 1e-300)
     return _stated(unit_sphere_area(n - 2) * float(np.mean(vals)), achieved,
-                   evals, "quadrature")
+                   evals, method)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ integral <= first summand + second summand.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,7 +240,45 @@ def test_cone_volume_equals_triangle_areas_2d():
         for s in secs
     )
     assert est.value == pytest.approx(total, rel=1e-9)
-    assert est.method == "quadrature"
+    assert est.method == "exact_2d"
+
+
+def _mp_triangle_area(tri):
+    """pi minus the angle sum of a Klein triangle, in 50 digits.
+
+    The float vertices are taken as exact, except that one within 1e-12
+    of the unit circle is ideal and has angle 0, as in `triangle_area_2d`.  At a vertex p with chords u, v the metric tensor
+    gives the angle atan2(sqrt(s) |u x v|, s u.v + (p.u)(p.v)),
+    s = 1 - |p|^2.
+    """
+    with mpmath.workdps(50):
+        pts = [[mpmath.mpf(float(x)) for x in p] for p in tri]
+        area = mpmath.pi
+        for i in range(3):
+            if math.hypot(*tri[i]) >= 1.0 - 1e-12:
+                continue
+            p, q, r = pts[i], pts[(i + 1) % 3], pts[(i + 2) % 3]
+            s = 1 - p[0] ** 2 - p[1] ** 2
+            u = [q[0] - p[0], q[1] - p[1]]
+            v = [r[0] - p[0], r[1] - p[1]]
+            cos = (s * (u[0] * v[0] + u[1] * v[1])
+                   + (p[0] * u[0] + p[1] * u[1]) * (p[0] * v[0] + p[1] * v[1]))
+            area -= mpmath.atan2(mpmath.sqrt(s) * abs(u[0] * v[1] - u[1] * v[0]), cos)
+        return float(area)
+
+
+@pytest.mark.parametrize("phi", [0.001, 0.002, 0.003])
+def test_cone_volume_2d_within_its_stated_error(phi):
+    # narrow ideal sections, where the polar chart was 1.6e-5 off at
+    # phi = 0.001 while its QUADPACK estimate stated 2.0e-7
+    upper = ideal_section(2, phi)
+    lower = replace(upper, direction=[0.0, -1.0],
+                    far_point=upper.far_point * [1.0, -1.0])
+    est = cone_volume([upper, lower])
+    want = sum(_mp_triangle_area([s.apex.direction, s.far_point, np.zeros(2)])
+               for s in (upper, lower))
+    assert abs(est.value - want) <= est.achieved_rel_tol * est.value
+    assert est.method == "exact_2d"
 
 
 def test_cone_volume_requires_common_apex():
