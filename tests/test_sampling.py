@@ -175,7 +175,7 @@ def test_cone_reports_pinned():
         reports.extend(cone_report(poly, poly.vertices[v], 16) for v in range(3))
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == (
-        "13c9afaa6876bcd7a4c1153b77b57f2c6c73d815fc1d6a83bf95ee911123cfa7")
+        "42bfa4e711b99833c844d472799d7c8f37bf97f88b69f7037a1620545f1b27aa")
 
 
 def test_cone_table_csv_pinned():
