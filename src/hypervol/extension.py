@@ -285,8 +285,7 @@ def _arc_estimate(value: float, arcs: int, magnitude: float, kappa: float,
     is 64 u kappa cosh(eps)^2 per kept arc (plus one), and u * arcs *
     `magnitude` (the sum of |terms|) for the final sum.  It is a stated
     bound, checked in the tests against the same areas in 50-digit
-    arithmetic; past 1e-4 of the area, at eps near 1e-6, the estimate is
-    flagged low_confidence.
+    arithmetic.
     """
     bound = _UNIT_ROUNDOFF * (
         64.0 * kappa * math.cosh(epsilon) ** 2 * (arcs + 1) + arcs * magnitude

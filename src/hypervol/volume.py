@@ -210,11 +210,7 @@ def _rule(cells: np.ndarray) -> np.ndarray:
 
 
 def _radial_mass_ratio(n: int, r: np.ndarray) -> np.ndarray:
-    """m_n(r)/r^n, for r > 0.
-
-    `sinh_power_integral` takes its Taylor series at small r, so the ratio
-    keeps full relative accuracy down to the limit 1/n.
-    """
+    """m_n(r)/r^n for r > 0, to full accuracy at small r by sinh_power_integral."""
     r = np.minimum(np.asarray(r, dtype=float), 1.0 - BOUNDARY_TOL)
     return sinh_power_integral(n - 1, np.arctanh(r)) / r ** n
 
@@ -222,10 +218,8 @@ def _radial_mass_ratio(n: int, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # simplex and polytope volumes
 
-# An estimate is flagged low_confidence past these: a stated relative error
-# (closed forms and quadrature) and a Monte Carlo relative standard error.
-_DEFAULT_REL_TOL = 1e-4
-_MC_REL_SE = 0.05
+_DEFAULT_REL_TOL = 1e-4  # flag low_confidence past this stated relative error
+_MC_REL_SE = 0.05  # and past this Monte Carlo relative standard error
 # Rounding bound of exact_3d per unit of Lobachevsky-term magnitude.  On
 # random tetrahedra at scales 1e-4 to 0.5, the error against a 40-digit
 # evaluation of the same orthoscheme terms stayed under 0.35 eps times
@@ -247,22 +241,14 @@ def _budget(budget, default: int) -> int:
 
 def _stated(value: float, rel: float, evaluations: int, method: str,
             std_error: float = 0.0) -> VolumeEstimate:
-    """A deterministic route's estimate with its stated relative error.
-
-    The routes that state a relative error build their estimates here, so
-    that one past 1e-4 is always flagged low_confidence.
-    """
+    """An estimate that states its relative error, flagged past 1e-4."""
     return VolumeEstimate(value, std_error, evaluations, method,
                           low_confidence=rel > _DEFAULT_REL_TOL,
                           achieved_rel_tol=rel)
 
 
 def _sampled(mean: float, se: float, samples: int) -> VolumeEstimate:
-    """A Monte Carlo estimate, flagged past a relative SE of 5 %.
-
-    Written as `not se <= 5 % of mean`, so that a zero mean with a
-    positive SE is flagged too.
-    """
+    """A Monte Carlo estimate, flagged past 5 % relative SE (zero mean too)."""
     return VolumeEstimate(mean, se, samples, "monte_carlo",
                           low_confidence=not se <= _MC_REL_SE * mean)
 
@@ -474,9 +460,7 @@ def polytope_volume(
             raise ValueError(f"budget {samples} is below one sample for each "
                              f"of {len(simplices)} simplices")
         share = samples // len(simplices)
-        value = 0.0
-        var = 0.0
-        evals = 0
+        value, var, evals = 0.0, 0.0, 0
         for i, spx in enumerate(simplices):
             est = _simplex_mc(spx.vertices, share, seed + i)
             value += est.value
@@ -502,10 +486,9 @@ def region_volume_mc(
     segment, and reweighting by the true sinh^(n-1) density keeps the
     estimator unbiased despite the table.  Each contribution is bounded,
     however close to the boundary sphere the bounding radius lies.  Zero
-    hits return value 0 with a rule-of-three standard error.  The estimate
-    is flagged low_confidence when its standard error exceeds 5 % of its
-    value, zero hits included.  It is identical for any `workers` value
-    (see `rng._chunk_sums`).
+    hits return value 0 with a rule-of-three standard error.  As every
+    Monte Carlo estimate, it is low_confidence past a 5 % relative SE.  It
+    is identical for any `workers` value (see `rng._chunk_sums`).
     """
     n = region.dim
     area = unit_sphere_area(n - 1)
