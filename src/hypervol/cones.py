@@ -671,10 +671,11 @@ def verify_facet_decomposition(
         for i in range(n):
             indic[:, i] = _in_tilde_cone(pts, invs[i])
         t_stat = w * (two_n * _row_sum(indic) - 1.0)
+        w2 = w * w
         return np.concatenate([
-            [w.sum(), t_stat.sum(), (t_stat * t_stat).sum(), (w * w).sum()],
+            [w.sum(), t_stat.sum(), (t_stat * t_stat).sum(), w2.sum()],
             (w[:, None] * indic).sum(axis=0),
-            (w[:, None] ** 2 * indic).sum(axis=0),
+            w2 @ indic,
         ])
 
     sum_w, sum_t, sum_t2, sum_w2, *rest = _chunk_sums(seed, budget, 16384,

@@ -247,9 +247,9 @@ def _mp_triangle_area(tri):
     """pi minus the angle sum of a Klein triangle, in 50 digits.
 
     The float vertices are taken as exact, except that one within 1e-12
-    of the unit circle is ideal and has angle 0, as in `triangle_area_2d`.  At a vertex p with chords u, v the metric tensor
-    gives the angle atan2(sqrt(s) |u x v|, s u.v + (p.u)(p.v)),
-    s = 1 - |p|^2.
+    of the unit circle is ideal and has angle 0, as in `triangle_area_2d`.
+    At a vertex p with chords u, v the metric tensor gives the angle
+    atan2(sqrt(s) |u x v|, s u.v + (p.u)(p.v)), s = 1 - |p|^2.
     """
     with mpmath.workdps(50):
         pts = [[mpmath.mpf(float(x)) for x in p] for p in tri]
