@@ -41,7 +41,6 @@ import numpy as np
 from scipy import integrate
 
 from .klein import (
-    BOUNDARY_TOL,
     IdealPoint,
     KleinPoint,
     _check_dimension,
@@ -84,9 +83,6 @@ __all__ = [
 # Sections with a larger origin angle are flagged; adding ideal points can
 # always densify a configuration below the cap without shrinking the hull.
 PHI_CAP = math.atan(0.1)
-# Angle-defect rounding bound per 1/(1 - |v|^2) of a finite vertex v, u = 2^-53;
-# on 800 random sections, phi 1e-4 to 0.1, the error stayed under 0.02 of it.
-_DEFECT_ROUNDING = 8.0 * math.pi * 2.0 ** -53
 
 
 def _quad(f, a, b, **kw):
@@ -431,10 +427,7 @@ def cone_volume(sections: list[ConeSection]) -> VolumeEstimate:
     if n == 2:
         tri = np.array([[s.apex_radius * s.apex.direction, s.far_point,
                          np.zeros(2)] for s in sections])
-        vals = _angle_defects(tri)
-        norm2 = np.einsum("kij,kij->ki", tri, tri)
-        finite = norm2 < (1.0 - BOUNDARY_TOL) ** 2
-        err = _DEFECT_ROUNDING * float(np.sum(1.0 / (1.0 - norm2[finite])))
+        vals, err = _angle_defects(tri)
         evals, method = 3 * len(sections), "exact_2d"
     else:
         vals, errs, counts = zip(*(_section_integral_polar(s, n) for s in sections))

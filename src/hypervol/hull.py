@@ -188,13 +188,11 @@ def convex_hull(points) -> Polytope:
                     -eq[:, -1])
 
 
-def apex_triangulation(poly: Polytope, apex) -> list[Simplex]:
-    """Cones from an interior apex over every facet; a partition of poly."""
+def apex_triangulation(poly: Polytope, apex) -> np.ndarray:
+    """(k, n+1, n) cones from an interior apex, apex first; a partition of poly."""
     a = as_coords(apex)
     if not bool(np.all(poly.normals @ a < poly.offsets - 1e-12)):
         raise ValueError("apex must be strictly interior to the polytope")
-    out = []
-    for facet in poly.facets:
-        verts = np.vstack([a[None, :], poly.vertices[list(facet)]])
-        out.append(Simplex(verts))
-    return out
+    facets = poly.vertices[np.asarray(poly.facets)]
+    return np.concatenate(
+        [np.broadcast_to(a, (len(facets), 1, a.size)), facets], axis=1)

@@ -433,7 +433,8 @@ def test_extension_volume_planar_route():
     assert est.std_error > 0.0
     assert est.achieved_rel_tol == est.std_error / est.value
     assert not est.low_confidence
-    # samples, seed and workers have nothing to do in the plane
+    # the estimate uses none of samples, seed and workers in the plane;
+    # seed orders only the packing behind the floor check
     assert extension_volume(pts, 1.0, samples=10, seed=5, workers=2) == est
 
 
@@ -720,7 +721,7 @@ def test_extension_volume_spatial_route():
     assert est.achieved_rel_tol == est.std_error / est.value < 1e-9
     assert est.evaluations > 0
     assert not est.low_confidence
-    # samples, seed and workers have nothing to do in 3D either
+    # nor does the 3D estimate (seed orders only the floor's packing)
     assert extension_volume(pts, 1.0, samples=10, seed=5, workers=2) == est
     assert extension_volume(np.zeros((1, 3)), 0.8).value == ball_volume(3, 0.8)
 

@@ -186,7 +186,7 @@ def test_apex_triangulation_partitions_volume():
         poly = convex_hull(pts)
         parts = apex_triangulation(poly, poly.interior_point())
         assert len(parts) == len(poly.facets)
-        total = sum(s.euclidean_volume() for s in parts)
+        total = sum(Simplex(s).euclidean_volume() for s in parts)
         assert total == pytest.approx(spatial.ConvexHull(pts).volume, rel=1e-9)
 
 

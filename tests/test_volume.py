@@ -22,14 +22,19 @@ from hypervol import (
     UnionOfBalls,
     VolumeEstimate,
     ball_volume,
+    cone_sections,
+    cone_volume,
     convex_hull,
+    extension_volume,
     generate_points,
     polytope_volume,
     random_isometry,
     region_volume_mc,
     simplex_volume,
+    theorem2_ratio,
     triangle_area_2d,
 )
+from hypervol.experiments import _fmt
 from hypervol.hull import apex_triangulation
 from hypervol.klein import _radial_table
 from hypervol.volume import _radial_mass_ratio, lobachevsky, preferred_method
@@ -303,6 +308,39 @@ def test_volume_estimate_rejects_nan(value, std_error):
         VolumeEstimate(value, std_error, 1, "monte_carlo")
 
 
+def test_estimate_fields_are_plain_python_types():
+    # one estimate from every route that sets low_confidence; numpy
+    # scalars would reach the CSV writer as "False" and as
+    # "np.float64(...)" instead of 0 and a plain float repr
+    ideal3 = convex_hull(generate_points("uniform-ideal", 3, 32, 1))
+    square = convex_hull(0.95 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
+    octahedron = convex_hull(0.999 * OCT)
+    planar = generate_points("clustered", 2, 20, 3)
+    ests = [
+        simplex_volume(TRI, "exact_2d"),
+        simplex_volume(1e-5 * TRI, "exact_2d"),
+        polytope_volume(ideal3, "exact_3d"),
+        simplex_volume(TRI, budget=2_000),
+        simplex_volume(TRI, "monte_carlo", budget=2_000),
+        polytope_volume(ideal3, "monte_carlo", budget=2_000),
+        region_volume_mc(UnionOfBalls(planar, 1.0).region(), samples=2_000),
+        cone_volume(cone_sections(square, square.vertices[0], 16)),
+        cone_volume(cone_sections(octahedron, octahedron.vertices[0], 8)),
+        theorem2_ratio(planar, 1.0)["hull"],
+        extension_volume(planar, 1.0),
+        extension_volume(generate_points("clustered", 3, 12, 3), 1.0),
+    ]
+    assert {e.method for e in ests} >= {
+        "exact_2d", "exact_3d", "quadrature", "monte_carlo",
+        "kept_arcs_hull", "kept_arcs_union", "voronoi_cells_union"}
+    assert {e.low_confidence for e in ests} == {False, True}
+    for est in ests:
+        assert type(est.low_confidence) is bool
+        assert _fmt(est.low_confidence) in ("0", "1")
+        assert est.achieved_rel_tol is None or type(est.achieved_rel_tol) is float
+        assert "np." not in _fmt(est.achieved_rel_tol)
+
+
 def test_quadrature_reports_achieved_tolerance():
     # default target is 1e-4 relative to the whole; the summed bound stays near it
     est = simplex_volume(Simplex(TRI), budget=60_000)
@@ -336,6 +374,17 @@ def test_degenerate_polytope_checks_arguments_first(method, budget, match):
                     np.array([[0.0, 1.0]]), np.array([0.0]))
     with pytest.raises(ValueError, match=match):
         polytope_volume(flat, method, budget=budget)
+
+
+@pytest.mark.parametrize("method, verts", [
+    ("exact_2d", [[0.0, 0.0], [0.1, 0.1], [0.2, 0.2]]),
+    ("exact_3d", [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.1, 0.1, 0.0]]),
+    ("quadrature", [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.1, 0.1, 0.0]]),
+    ("monte_carlo", [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.1, 0.1, 0.0]]),
+])
+def test_flat_simplex_gets_the_flat_polytope_estimate(method, verts):
+    # one rule for degenerate bodies: no rounding noise, no evaluations
+    assert simplex_volume(verts, method) == VolumeEstimate(0.0, 0.0, 0, method)
 
 
 def test_quadrature_flags_missed_tolerance():
@@ -512,10 +561,70 @@ def test_vectorized_exact_2d_matches_scalar_loop():
         _scalar_triangle_area(*corners), abs=1e-12)
     for size in (5, 40, 200):
         poly = convex_hull(generate_points("uniform-ideal", 2, size, seed=size))
-        loop = sum(_scalar_triangle_area(*spx.vertices)
+        loop = sum(_scalar_triangle_area(*spx)
                    for spx in apex_triangulation(poly, poly.interior_point()))
         assert polytope_volume(poly, "exact_2d").value == pytest.approx(
             loop, rel=1e-12)
+
+
+def _mp_fan_area(fan) -> float:
+    """Summed areas of a (k, 3, 2) batch of triangles in 50-digit arithmetic.
+
+    Vertices within BOUNDARY_TOL of the sphere are ideal (angle 0), as in
+    exact_2d; every other angle is the same arctan2 on the exact inputs.
+    """
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0)
+        for tri in fan:
+            total += mpmath.pi
+            for i in range(3):
+                if float(tri[i] @ tri[i]) >= (1.0 - BOUNDARY_TOL) ** 2:
+                    continue
+                p, q, r = ([mpmath.mpf(float(x)) for x in tri[(i + j) % 3]]
+                           for j in range(3))
+                s = 1 - p[0] ** 2 - p[1] ** 2
+                u = [q[0] - p[0], q[1] - p[1]]
+                v = [r[0] - p[0], r[1] - p[1]]
+                cos = (s * (u[0] * v[0] + u[1] * v[1])
+                       + (p[0] * u[0] + p[1] * u[1]) * (p[0] * v[0] + p[1] * v[1]))
+                total -= mpmath.atan2(
+                    mpmath.sqrt(s) * abs(u[0] * v[1] - u[1] * v[0]), cos)
+        return total
+
+
+@pytest.mark.parametrize("family, size, radius, stated", [
+    ("uniform-ideal", 8, 1.5, 2e-9),
+    ("uniform-ideal", 64, 1.5, 2e-9),
+    ("uniform-ideal", 256, 1.5, 2e-9),
+    ("uniform-ball", 12, 1.5, 1e-13),
+    ("uniform-ball", 40, 1.5, 1e-13),
+    ("uniform-ball", 12, 1e-3, 1e-7),
+    ("uniform-ball", 40, 1e-3, 1e-7),
+    ("clustered", 20, 1.5, 1e-12),
+])
+def test_exact_2d_bound_covers_50_digit_areas(family, size, radius, stated):
+    # the largest error seen across these 24 fans was 0.016 of the bound
+    for seed in (1, 2, 3):
+        poly = convex_hull(generate_points(family, 2, size, seed, radius=radius))
+        est = polytope_volume(poly, "exact_2d")
+        exact = _mp_fan_area(apex_triangulation(poly, poly.interior_point()))
+        assert abs(float(exact - est.value)) <= 0.05 * est.achieved_rel_tol * est.value
+        assert est.achieved_rel_tol < stated
+        assert not est.low_confidence
+
+
+@pytest.mark.parametrize("scale, error, flagged", [
+    (1e-3, 1.5e-9, False), (1e-5, 9.95e-6, True), (1e-7, 0.21, True)])
+def test_exact_2d_bound_covers_tiny_triangles(scale, error, flagged):
+    # the angles stay O(1) and cancel down to an area of order scale^2,
+    # so the stated error grows as the triangle shrinks, and is flagged
+    tri = scale * TRI
+    est = simplex_volume(tri, "exact_2d")
+    exact = _mp_fan_area(tri[None])
+    gap = abs(float(exact - est.value)) / float(exact)
+    assert gap == pytest.approx(error, rel=0.01)
+    assert gap <= est.achieved_rel_tol
+    assert est.low_confidence is flagged
 
 
 def test_preferred_method_by_dimension():
