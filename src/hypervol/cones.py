@@ -38,7 +38,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .klein import (
     IdealPoint,
@@ -88,6 +87,8 @@ PHI_CAP = math.atan(0.1)
 def _quad(f, a, b, **kw):
     # requested tolerances sit at the roundoff floor on purpose; the
     # convergence warning carries no information at that point
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(f, a, b, **kw)

@@ -212,16 +212,28 @@ def regular_simplex(n: int, pairwise: float) -> np.ndarray:
 V3_IDEAL = 1.0149416064096536
 
 
+def _fan_bound(n: int, verts: int):
+    """Theorem 1's fan bound on a hull with `verts` vertices, and its name.
+
+    A hyperbolic V-gon has area below (V - 2) pi.  A 3D hull coned from one
+    vertex splits into at most 2V - 7 tetrahedra, none larger than v3.
+    From n = 4 on there is no bound: (None, "").
+    """
+    if n == 2:
+        return (verts - 2) * math.pi, "(V-2)pi"
+    if n == 3:
+        return (2 * verts - 7) * V3_IDEAL, "(2V-7)v3"
+    return None, ""
+
+
 def cmd_theorem1_sweep(config: RunConfig):
     """Hull volume versus point count for the named families.
 
     Sublinearity shows up as a log-log slope at most 1.05 over the top
     decade of N, the per-point volume peaking before the largest N, and a
     tail of Vol/N that does not grow by more than 5% per grid step.
-    Fan bounds are checked too: a planar `uniform-ideal` hull has area at
-    most (N - 2) pi, and every 3D hull with V vertices at most
-    (2V - 7) v3, since coning it from one vertex gives at most 2V - 7
-    tetrahedra.
+    Every planar and 3D hull is checked against `_fan_bound` of its
+    vertex count V as well.
     """
     header = [
         "n", "family", "N", "replicate", "seed", "budget",
@@ -250,21 +262,13 @@ def cmd_theorem1_sweep(config: RunConfig):
                     est.evaluations,
                 ])
                 per_n.setdefault(size, []).append(est.value)
-                if n == 2 and config.family == "uniform-ideal":
-                    bound = (size - 2) * math.pi
-                    if est.value > bound + 1e-9:
-                        failures.append(
-                            f"2D fan bound violated: N={size} rep={rep} "
-                            f"vol={est.value!r} > (N-2)pi={bound!r}"
-                        )
-                if n == 3:
-                    verts = poly.vertices.shape[0]
-                    bound = (2 * verts - 7) * V3_IDEAL
-                    if est.value > bound + 1e-9:
-                        failures.append(
-                            f"3D fan bound violated: N={size} rep={rep} "
-                            f"V={verts} vol={est.value!r} > (2V-7)v3={bound!r}"
-                        )
+                verts = poly.vertices.shape[0]
+                bound, name = _fan_bound(n, verts)
+                if bound is not None and est.value > bound + 1e-9:
+                    failures.append(
+                        f"{n}D fan bound violated: N={size} rep={rep} "
+                        f"V={verts} vol={est.value!r} > {name}={bound!r}"
+                    )
     summary = {"slopes": {}, "ratio_peak": {}}
     for (n, family), per_n in stats.items():
         sizes = sorted(per_n)
@@ -462,42 +466,36 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
 
     In the plane: vertex triples confined to disjoint arcs of the circle
     span disjoint circular segments.  In higher dimension: vertex groups
-    confined to disjoint spherical caps span disjoint cones.  The hull of
-    all points contains every simplex, so the volume sum is a feasible
-    lower bound for the search.
+    confined to disjoint spherical caps, at most 2n of them, span disjoint
+    cones.  The other points are seeded ideal directions.  The hull of all
+    points contains every simplex, so the volume sum is a feasible lower
+    bound for the search.
     """
     groups = count // (n + 1)
     if groups < 1:
         raise ValueError("need at least n+1 points")
-    pts = []
-    total = 0.0
+    simplices = []
     if n == 2:
         width = 2.0 * math.pi / groups
         for j in range(groups):
             base = j * width
             angles = [base + 0.1 * width, base + 0.5 * width, base + 0.9 * width]
-            tri = IDEAL_TRUNCATION * np.array(
+            simplices.append(IDEAL_TRUNCATION * np.array(
                 [[math.cos(a), math.sin(a)] for a in angles]
-            )
-            pts.append(tri)
-            total += simplex_volume(tri, preferred_method(n)).value
+            ))
     else:
-        caps = _regular_directions(n, groups)
         beta = 0.35
         tangent_spread = regular_simplex_directions(n - 1)[:n]
-        for j in range(groups):
-            c = caps[j]
+        for c in _regular_directions(n, min(groups, 2 * n)):
             basis = _tangent_basis(c)
             group = [c]
             for t in tangent_spread:
                 d = math.cos(beta) * c + math.sin(beta) * (t @ basis)
                 group.append(d / np.linalg.norm(d))
-            spx = IDEAL_TRUNCATION * np.array(group)
-            pts.append(spx)
-            total += simplex_volume(
-                spx, preferred_method(n), budget=budget, seed=seed
-            ).value
-    flat = np.vstack(pts)
+            simplices.append(IDEAL_TRUNCATION * np.array(group))
+    total = sum(simplex_volume(spx, preferred_method(n), budget=budget,
+                               seed=seed).value for spx in simplices)
+    flat = np.vstack(simplices)
     extra = count - flat.shape[0]
     if extra > 0:
         g = _uniform_directions(substream(seed), extra, n)
@@ -505,23 +503,24 @@ def _disjoint_simplex_baseline(n: int, count: int, budget: int, seed: int):
     return flat, total
 
 
-# annealing schedule of cmd_extremal_search
-T_START = 0.3
-T_END = 0.01
+# the hill climb's whole step: one direction moves by this times N(0, I)
 MOVE_SCALE = 0.3
 
 
 def cmd_extremal_search(config: RunConfig):
-    """Elitist annealing over point directions, maximizing hull volume.
+    """Seeded hill climb over point directions, maximizing hull volume.
 
-    Starts from the disjoint-simplices baseline, so the best value can
-    never drop below the baseline volume sum; the trace of best values is
-    non-decreasing by construction.
+    Starts from the disjoint-simplices baseline and keeps one
+    configuration.  Each step moves one point's direction and keeps the
+    move only when the hull volume rises, so the best value never drops
+    below the baseline volume sum, and the trace of best values is
+    non-decreasing.  The best hull is checked against `_fan_bound`, which
+    brackets the constant of Theorem 1 as [best / N, fan_bound / N].
     """
     n = config.n
     count = max(config.sizes[0], n + 1) if config.sizes else n + 1
     obj_budget = max(config.budget // 10, 20_000)
-    pts, baseline = _disjoint_simplex_baseline(
+    best, baseline = _disjoint_simplex_baseline(
         n, count, obj_budget, config.seed
     )
 
@@ -535,47 +534,39 @@ def cmd_extremal_search(config: RunConfig):
         ).value
 
     rng = substream(_derive_seed(config.seed, n, count))
-    cur = pts.copy()
-    cur_val = objective(cur)
-    best = cur.copy()
-    best_val = cur_val
-    header = [
-        "step", "seed", "budget", "temperature", "current", "best", "accepted",
-    ]
-    rows: list[list] = [[0, config.seed, obj_budget, T_START, cur_val,
-                         best_val, 1]]
+    best_val = objective(best)
+    header = ["step", "seed", "budget", "candidate", "best", "accepted"]
+    rows: list[list] = [[0, config.seed, obj_budget, best_val, best_val, 1]]
     failures: list[str] = []
-    decay = (T_END / T_START) ** (1.0 / max(config.steps - 1, 1))
-    temp = T_START
     for step in range(1, config.steps + 1):
         idx = int(rng.integers(count))
-        cand = cur.copy()
+        cand = best.copy()
         v = cand[idx]
         r = np.linalg.norm(v)
-        d = v / r + MOVE_SCALE * temp * rng.standard_normal(n)
+        d = v / r + MOVE_SCALE * rng.standard_normal(n)
         cand[idx] = r * d / np.linalg.norm(d)
         cand_val = objective(cand)
-        delta = (cand_val - cur_val) / max(abs(best_val), 1.0)
-        accepted = delta >= 0 or rng.random() < math.exp(delta / max(temp, 1e-9))
+        accepted = cand_val > best_val
         if accepted:
-            cur, cur_val = cand, cand_val
-            if cur_val > best_val:
-                best, best_val = cur.copy(), cur_val
+            best, best_val = cand, cand_val
         rows.append([
-            step, config.seed, obj_budget, temp, cur_val, best_val,
-            int(accepted),
+            step, config.seed, obj_budget, cand_val, best_val, int(accepted),
         ])
-        temp *= decay
-    bests = [row[5] for row in rows]
-    if any(b2 < b1 for b1, b2 in zip(bests, bests[1:])):
-        failures.append("best-value trace decreased under elitism")
     if best_val < baseline * (1.0 - 1e-9):
         failures.append(
             f"search best {best_val!r} below baseline sum {baseline!r}"
         )
+    verts = convex_hull(best).vertices.shape[0]
+    fan_bound, name = _fan_bound(n, verts)
+    if fan_bound is not None and best_val > fan_bound + 1e-9:
+        failures.append(
+            f"{n}D fan bound violated: N={count} V={verts} "
+            f"best={best_val!r} > {name}={fan_bound!r}"
+        )
     summary = {
         "n": n, "count": count, "baseline_sum": baseline, "best": best_val,
         "best_over_baseline": best_val / baseline if baseline > 0 else math.inf,
+        "fan_bound": fan_bound,
         "best_points": [[float(x) for x in row] for row in best],
     }
     return header, rows, failures, summary

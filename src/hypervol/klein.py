@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .rng import substream
 
@@ -398,6 +397,8 @@ def ball_volume(n: int, r: float) -> float:
     """
     _check_dimension(n)
     _check_radius(r)
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda t: math.sinh(t) ** (n - 1), 0.0, r, epsabs=0.0, epsrel=1e-10, limit=200
     )

@@ -14,6 +14,7 @@ import pytest
 
 from hypervol import RunConfig, dist_matrix, generate_points, regular_simplex
 from hypervol.experiments import (
+    V3_IDEAL,
     _derive_seed,
     cmd_cone_table,
     cmd_extremal_search,
@@ -44,8 +45,9 @@ def test_runconfig_roundtrip_and_validation():
     ("t_end", 0.01), ("move_scale", 0.3),
 ])
 def test_runconfig_rejects_fixed_settings(key, value):
-    # family parameters are generate_points arguments and the annealing
-    # schedule is fixed, so a config that sets them fails loudly
+    # family parameters are generate_points arguments and the search's move
+    # scale is fixed, so a config that sets them (or the retired annealing
+    # temperatures) fails loudly
     with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict({key: value})
 
@@ -134,27 +136,43 @@ def test_theorem1_sweep_small_run():
     assert summary["slopes"]["n=2"] < 1.05
 
 
-def test_theorem1_sweep_checks_the_3d_fan_bound(monkeypatch):
-    # every 3D hull with V vertices must stay under (2V - 7) v3; a volume
-    # route that reads too high is reported, row by row
+def _inflate_volumes(monkeypatch, bound):
+    """Make every hull volume read 0.1 % above bound(V) of its V vertices."""
     import hypervol.experiments as experiments
 
-    cfg = RunConfig(command="theorem1-sweep", dims=(3,), sizes=(8, 16),
-                    replicates=1, seed=0)
-    _, rows, failures, _ = cmd_theorem1_sweep(cfg)
-    assert len(rows) == 2 and not any("fan bound" in f for f in failures)
     real = experiments.polytope_volume
 
     def inflated(poly, *args, **kw):
         est = real(poly, *args, **kw)
-        verts = poly.vertices.shape[0]
-        return replace(est, value=(2 * verts - 7) * experiments.V3_IDEAL * 1.001)
+        return replace(est, value=bound(poly.vertices.shape[0]) * 1.001)
 
     monkeypatch.setattr(experiments, "polytope_volume", inflated)
+
+
+def test_theorem1_sweep_checks_the_3d_fan_bound(monkeypatch):
+    # every 3D hull with V vertices must stay under (2V - 7) v3; a volume
+    # route that reads too high is reported, row by row
+    cfg = RunConfig(command="theorem1-sweep", dims=(3,), sizes=(8, 16),
+                    replicates=1, seed=0)
+    _, rows, failures, _ = cmd_theorem1_sweep(cfg)
+    assert len(rows) == 2 and not any("fan bound" in f for f in failures)
+    _inflate_volumes(monkeypatch, lambda v: (2 * v - 7) * V3_IDEAL)
     _, rows, failures, _ = cmd_theorem1_sweep(cfg)
     fan = [f for f in failures if "fan bound" in f]
     assert len(fan) == 2
     assert all(f.startswith("3D fan bound violated: N=") and "(2V-7)v3=" in f
+               for f in fan)
+
+
+def test_theorem1_sweep_checks_the_2d_fan_bound_on_every_family(monkeypatch):
+    # any hyperbolic V-gon has area below (V - 2) pi, whatever the family
+    cfg = RunConfig(command="theorem1-sweep", dims=(2,), sizes=(8, 16),
+                    replicates=1, family="uniform-ball", seed=0)
+    _inflate_volumes(monkeypatch, lambda v: (v - 2) * math.pi)
+    _, rows, failures, _ = cmd_theorem1_sweep(cfg)
+    fan = [f for f in failures if "fan bound" in f]
+    assert len(rows) == 2 and len(fan) == 2
+    assert all(f.startswith("2D fan bound violated: N=") and "(V-2)pi=" in f
                for f in fan)
 
 
@@ -230,6 +248,41 @@ def test_extremal_search_small_run():
         assert bests == sorted(bests)
         assert summary["best"] >= summary["baseline_sum"] * (1 - 1e-9)
         assert len(summary["best_points"]) == size
+
+
+def test_extremal_search_climbs_past_the_annealing():
+    # the elitist annealing this search replaced ended at 9.12, 9.10 and
+    # 9.56 on these seeds; the regular ideal icosahedron is 13.529097
+    for seed in range(3):
+        cfg = RunConfig(command="extremal-search", n=3, sizes=(12,),
+                        steps=120, budget=40_000, seed=seed)
+        _, _, failures, summary = cmd_extremal_search(cfg)
+        assert failures == []
+        assert summary["best"] > 10.5
+        assert summary["best"] <= summary["fan_bound"]
+
+
+def test_extremal_search_runs_past_2n_caps():
+    # N = 32 in 3D asks for 8 groups of n + 1 points; at most 2n caps are
+    # disjoint, so the other points join the seeded extras
+    cfg = RunConfig(command="extremal-search", n=3, sizes=(32,), steps=3,
+                    budget=40_000, seed=0)
+    _, rows, failures, summary = cmd_extremal_search(cfg)
+    assert failures == [] and len(rows) == 4
+    assert len(summary["best_points"]) == 32
+    assert summary["best"] >= summary["baseline_sum"] > 0
+
+
+def test_extremal_search_checks_the_fan_bound(monkeypatch):
+    # a volume route that reads above (2V - 7) v3 fails on the best hull
+    _inflate_volumes(monkeypatch, lambda v: (2 * v - 7) * V3_IDEAL)
+    cfg = RunConfig(command="extremal-search", n=3, sizes=(8,), steps=3,
+                    budget=40_000, seed=0)
+    _, _, failures, summary = cmd_extremal_search(cfg)
+    fan = [f for f in failures if "fan bound" in f]
+    assert len(fan) == 1
+    assert fan[0].startswith("3D fan bound violated: N=8 V=")
+    assert summary["best"] > summary["fan_bound"]
 
 
 def test_mass_near_vertices_monotone():

@@ -1,9 +1,13 @@
 """Source hygiene: every module-level import, private definition, public
-name and class member is used."""
+name and class member is used, and importing the package loads no
+module that only some calls need."""
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -173,3 +177,14 @@ def test_class_members_are_read(path):
     assert not unread, (
         f"{path.name} defines class members that nothing reads by name: "
         f"{sorted(unread)}")
+
+
+def test_import_defers_scipy_integrate():
+    # scipy.integrate pulls in scipy.optimize; only ball_volume and the
+    # cone quadrature need it, and they import it on first use
+    code = ("import sys; import hypervol, hypervol.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
