@@ -1,11 +1,12 @@
 """Vertex cones, their section integrals, and the explicit bounding chain.
 
 The section integral has two independent charts (polar and an anchored
-(u, v) chart); the bounding integral has frozen reference values computed
-from the closed-form inner antiderivative.  Tests pit the implementation
-against those references, against the polar chart of the ideal section,
-against the 2D angle-defect area, and against the inequality chain
-integral <= first summand + second summand.
+(u, v) chart), and at n = 3 a closed form that is tested against both and
+against 50-digit mpmath; the bounding integral has frozen reference values
+computed from the closed-form inner antiderivative.  Tests pit the
+implementation against those references, against the polar chart of the
+ideal section, against the 2D angle-defect area, and against the
+inequality chain integral <= first summand + second summand.
 """
 
 import math
@@ -164,6 +165,8 @@ def test_cone_section_validation():
         ConeSection(IdealPoint(np.array([1.0, 0.0, 0.0])),
                     np.array([0.0, 1.0, 0.0]),
                     np.array([0.3, 0.3, 0.3]), 0.3)  # out of the section plane
+    with pytest.raises(ValueError, match="inside the unit ball"):
+        ConeSection(IdealPoint(e1), [0.0, 1.0], [0.9, 0.5], 0.5)
     with pytest.raises(ValueError):
         ideal_section(2, 2.0)  # angle past pi/2
     with pytest.raises(ValueError):
@@ -220,6 +223,93 @@ def test_truncation_only_reduces_the_integral():
         full, _ = section_integral(ideal_section(n, 0.05), n)
         cut, _ = section_integral(ideal_section(n, 0.05, 0.998), n)
         assert cut < full
+    # the closed 3D form, down to a truncation of 1e-9
+    for phi in (0.001, 0.05, 0.25):
+        full = cone_volume([ideal_section(3, phi)]).value
+        for rad in (1.0 - 1e-9, 1.0 - 1e-6, 0.998, 0.9):
+            cut = cone_volume([ideal_section(3, phi, rad)]).value
+            assert cut < full
+            full = cut
+
+
+def _plane_section(far, apex_radius):
+    """A 3D section with apex e1, direction e2 and the given far point."""
+    far = np.asarray(far, dtype=float)
+    return ConeSection(apex=IdealPoint([1.0, 0.0, 0.0]), direction=[0.0, 1.0, 0.0],
+                       far_point=far, origin_angle=math.atan2(far[1], far[0]),
+                       apex_radius=apex_radius)
+
+
+def _mp_section_integral(sec):
+    """The n = 3 section integral in 50 digits, by mpmath quadrature.
+
+    The float section data are taken as exact.  The edge line through the
+    apex point (a, 0) and the far point (a1, b1) meets the ray at angle
+    alpha at r = a b1 / den, den = b1 cos(alpha) - (a1 - a) sin(alpha), and
+    1 - r = num / den is formed without cancellation, so the integrand
+    sin(alpha) M_2(atanh r), M_2(w) = (sinh(2w)/2 - w)/2, stays exact
+    where the ideal apex sends r to 1.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(sec.apex_radius)
+        a1, b1 = (mpmath.mpf(v) for v in sec.plane_coords())
+
+        def f(alpha):
+            sin = mpmath.sin(alpha)
+            den = b1 * mpmath.cos(alpha) - (a1 - a) * sin
+            num = b1 * (1 - a - 2 * mpmath.sin(alpha / 2) ** 2) - (a1 - a) * sin
+            plus = den + a * b1
+            return sin * (a * b1 * den / (num * plus) - mpmath.log(plus / num) / 2) / 2
+
+        phi = mpmath.mpf(sec.origin_angle)
+        return mpmath.quad(f, [0, phi / 1000, phi / 30, phi])
+
+
+# the 0.001-rad section of test_uv_chart_on_narrow_near_ideal_section, in 3D
+NARROW_3D = ([0.9999984153626227, 0.0010414586890180385, 0.0], 1.0 - 1e-6)
+CLOSED_CASES = (
+    [ideal_section(3, phi, rad) for phi in (0.02, 0.07, 0.25) for rad in (1.0, 0.999)]
+    + [_plane_section(*NARROW_3D),
+       # the edge tilts outward past the apex point: phi_c = -0.050
+       _plane_section([0.952, 0.04, 0.0], 0.95)]
+)
+
+
+@pytest.mark.parametrize("sec", CLOSED_CASES)
+def test_closed_section_against_mpmath_and_the_polar_chart(sec):
+    want = _mp_section_integral(sec)
+    est = cone_volume([sec])
+    assert est.method == "closed_sections" and est.evaluations == 2
+    value = est.value / (2.0 * math.pi)
+    assert abs(value - want) <= 1e-12 * want
+    assert abs(est.value - 2 * mpmath.pi * want) <= est.achieved_rel_tol * est.value
+    assert not est.low_confidence
+    # the polar chart agrees, though not always within QUADPACK's own
+    # estimate: at the narrow section that states 7e-14 and is 1.3e-11 off
+    polar, _ = section_integral(sec, 3, chart="polar")
+    assert polar == pytest.approx(value, rel=1e-10)
+
+
+def test_closed_cases_include_outward_tilts():
+    # the CLOSED_CASES that carry phi_c < 0, where F(0) uses |sin phi_c|
+    tilts = [cones._chord_geometry(s)[1] for s in CLOSED_CASES]
+    assert sum(t < 0.0 for t in tilts) == 2
+    assert min(tilts) == pytest.approx(-0.04996, abs=1e-5)
+
+
+def test_3d_cones_do_not_reach_quadpack(monkeypatch):
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("a 3D cone called QUADPACK")
+
+    monkeypatch.setattr(cones, "_quad", no_quadpack)
+    poly = convex_hull(OCTAHEDRON)
+    rep = cone_report(poly, poly.vertices[0], 16)
+    assert rep["volume"]["method"] == "closed_sections"
+    assert rep["truncation_deficit"] > 0.0
+    est = cone_volume(CLOSED_CASES[:2])
+    assert est.evaluations == 4
+    with pytest.raises(AssertionError, match="QUADPACK"):
+        section_integral(CLOSED_CASES[0], 3, chart="polar")
 
 
 def test_cone_sections_square():
@@ -655,9 +745,18 @@ def test_cone_report_deficit_matches_section_integrals(pts, grid):
     assert rep["truncation_deficit"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_cone_report_states_quadrature_error():
-    poly = convex_hull(PENTAGON)
-    vol = cone_report(poly, poly.vertices[0], 16)["volume"]
+CROSS_4D = 0.999 * np.vstack([np.eye(4), -np.eye(4)])
+
+
+@pytest.mark.parametrize("pts, grid, method", [
+    (PENTAGON, 16, "exact_2d"),
+    (OCTAHEDRON, 16, "closed_sections"),
+    (CROSS_4D, 8, "quadrature"),
+])
+def test_cone_report_states_its_error(pts, grid, method):
+    poly = convex_hull(pts)
+    vol = cone_report(poly, poly.vertices[0], grid)["volume"]
+    assert vol["method"] == method
     tol = vol["achieved_rel_tol"]
     assert isinstance(tol, float) and math.isfinite(tol)
     assert vol["low_confidence"] == (tol > 1e-4)

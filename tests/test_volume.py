@@ -332,7 +332,8 @@ def test_estimate_fields_are_plain_python_types():
     ]
     assert {e.method for e in ests} >= {
         "exact_2d", "exact_3d", "quadrature", "monte_carlo",
-        "kept_arcs_hull", "kept_arcs_union", "voronoi_cells_union"}
+        "kept_arcs_hull", "kept_arcs_union", "voronoi_cells_union",
+        "closed_sections"}
     assert {e.low_confidence for e in ests} == {False, True}
     for est in ests:
         assert type(est.low_confidence) is bool
