@@ -175,7 +175,7 @@ def test_cone_reports_pinned():
         reports.extend(cone_report(poly, poly.vertices[v], 16) for v in range(3))
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == (
-        "42bfa4e711b99833c844d472799d7c8f37bf97f88b69f7037a1620545f1b27aa")
+        "0e73113f5e043ce1b293c91f807ea6085acb94c1ea945b44498c8db3af37e9f2")
 
 
 def test_cone_table_csv_pinned():
