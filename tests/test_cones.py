@@ -267,11 +267,11 @@ def _mp_section_integral(sec):
 
 # the 0.001-rad section of test_uv_chart_on_narrow_near_ideal_section, in 3D
 NARROW_3D = ([0.9999984153626227, 0.0010414586890180385, 0.0], 1.0 - 1e-6)
+# two edges tilt outward past the apex point, phi_c < 0: (0.02, 0.999) at
+# phi_c = -0.030 and the last case at phi_c = -0.050
 CLOSED_CASES = (
     [ideal_section(3, phi, rad) for phi in (0.02, 0.07, 0.25) for rad in (1.0, 0.999)]
-    + [_plane_section(*NARROW_3D),
-       # the edge tilts outward past the apex point: phi_c = -0.050
-       _plane_section([0.952, 0.04, 0.0], 0.95)]
+    + [_plane_section(*NARROW_3D), _plane_section([0.952, 0.04, 0.0], 0.95)]
 )
 
 
@@ -288,13 +288,6 @@ def test_closed_section_against_mpmath_and_the_polar_chart(sec):
     # estimate: at the narrow section that states 7e-14 and is 1.3e-11 off
     polar, _ = section_integral(sec, 3, chart="polar")
     assert polar == pytest.approx(value, rel=1e-10)
-
-
-def test_closed_cases_include_outward_tilts():
-    # the CLOSED_CASES that carry phi_c < 0, where F(0) uses |sin phi_c|
-    tilts = [cones._chord_geometry(s)[1] for s in CLOSED_CASES]
-    assert sum(t < 0.0 for t in tilts) == 2
-    assert min(tilts) == pytest.approx(-0.04996, abs=1e-5)
 
 
 def test_3d_cones_do_not_reach_quadpack(monkeypatch):
