@@ -16,14 +16,17 @@ hyperplane at Euclidean distance h from the origin,
     Vol(cone(0, F)) = h * integral_F  m_n(|q|) / |q|^n  dS(q),
 
 where m_n(r) = integral_0^r s^(n-1)(1-s^2)^(-(n+1)/2) ds is the radial
-mass.  The substitution s = tanh(t) makes m_n a sinh-power integral, so
-the density singularity is absorbed exactly and only a bounded (if
-steep) integrand over the facet remains.  The facet integrals are done
-together by worst-first adaptive subdivision: one worklist holds the
-cells of every facet and refines the worst of them first, under one
-budget that counts the evaluations of the whole call.  The refinement
-grades automatically into the corners that near-boundary vertices make
-sharp, on whichever facets they lie.
+mass.  For n = 2, 3, 4 it is elementary in x = |q|^2, and m_n(r)/r^n is
+evaluated in closed form (by its Taylor series near the center at
+n = 3), so the density singularity is absorbed exactly and only a
+bounded (if steep) integrand over the facet remains.  The facet
+integrals are done together by worst-first adaptive subdivision: one
+worklist holds the cells of every facet and refines the worst of them
+first, under one budget that counts the evaluations of the whole call.
+Each wave makes its cells' children with one precomposed map and all
+the rule points of their children with another.  The refinement grades
+automatically into the corners that near-boundary vertices make sharp,
+on whichever facets they lie.
 
 Monte Carlo backends sample simplices uniformly (one Dirichlet draw,
 `_dirichlet_draw`) and regions by radius-exact importance sampling; both
@@ -46,10 +49,10 @@ from .klein import (
     _check_points,
     _radial_table,
     _row_sum,
+    _row_sumsq,
     _uniform_directions,
     as_coords,
     density_array,
-    sinh_power_integral,
     translation_to,
     unit_sphere_area,
 )
@@ -176,6 +179,13 @@ def _child_matrices(d: int) -> np.ndarray:
 
 
 _CHILDREN = {d: _child_matrices(d) for d in (1, 2, 3)}
+# A wave's two maps, stacked over the C children: _KIDS[d] @ cells gives
+# the children's vertices, _KID_POINTS[d] @ cells the q rule points of
+# each child, within a few ulp of composing the two products.
+_KIDS = {d: m.reshape(-1, d + 1) for d, m in _CHILDREN.items()}
+_KID_POINTS = {d: (_RULES[d][0] @ m).reshape(-1, d + 1)
+               for d, m in _CHILDREN.items()}
+
 # A cell's error is the gap between its rule value and its children's
 # sum, times this factor.  The gap measures the error of the coarser of the
 # two, and understates the finer one's where cells converge slowly.  Near
@@ -198,21 +208,66 @@ def _measures(verts: np.ndarray) -> np.ndarray:
 
 
 def _children(cells: np.ndarray) -> np.ndarray:
-    """The (k, C, d+1, n) subcells of a (k, d+1, n) batch, each 1/C of it."""
-    return _CHILDREN[cells.shape[1] - 1] @ cells[:, None]
+    """The (k C, d+1, n) subcells of a (k, d+1, n) batch, each 1/C of it.
+
+    The C children of each cell follow one another.  One product with the
+    stacked child matrix makes them all, exactly: every weight is 0, 1/2
+    or 1.
+    """
+    shape = cells.shape[1:]
+    return (_KIDS[shape[0] - 1] @ cells).reshape((-1,) + shape)
 
 
-def _rule(cells: np.ndarray) -> np.ndarray:
-    """Rule means of m_n(|q|)/|q|^n over a (..., d+1, n) batch of cells."""
-    pts_b, wts = _RULES[cells.shape[-2] - 1]
-    pts = pts_b @ cells
-    return _radial_mass_ratio(cells.shape[-1], np.linalg.norm(pts, axis=-1)) @ wts
+def _rule(cells: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Rule means of m_n(|q|)/|q|^n at the points `points @ cells`.
+
+    `points` stacks the q barycentric rule points of each cell it reaches:
+    _RULES[d][0] for the (k, d+1, n) cells themselves gives a (k, 1)
+    result, _KID_POINTS[d] for their C children a (k, C) one.
+    """
+    wts = _RULES[cells.shape[-2] - 1][1]
+    x = _row_sumsq(points @ cells)
+    ratio = _radial_mass_ratio(cells.shape[-1], x)
+    return (ratio.reshape(-1, len(wts)) @ wts).reshape(len(cells), -1)
 
 
-def _radial_mass_ratio(n: int, r: np.ndarray) -> np.ndarray:
-    """m_n(r)/r^n for r > 0, to full accuracy at small r by sinh_power_integral."""
-    r = np.minimum(np.asarray(r, dtype=float), 1.0 - BOUNDARY_TOL)
-    return sinh_power_integral(n - 1, np.arctanh(r)) / r ** n
+# m_3(r)/r^3 = sum_(k >= 1) k/(2k + 1) x^(k-1), highest first for Horner's
+# rule, below x = r^2 = 0.09.  There the closed form's two terms cancel by
+# up to 40x; at the switch the series' 18th term is 1e-19 of its sum.  A
+# switch at x = 0.04 left 9.3e-15 against 60-digit references, this one
+# 4.3e-15.
+_M3_SWITCH = 0.09
+_M3_SERIES = np.arange(18, 0, -1) / (2.0 * np.arange(18, 0, -1) + 1.0)
+
+
+def _radial_mass_ratio(n: int, x: np.ndarray) -> np.ndarray:
+    """m_n(r)/r^n from x = r^2, in closed form for n = 2, 3, 4.
+
+    With s = sqrt(1 - x), cosh(atanh r) = c = 1/s, and c - 1 = x / t for
+    t = s (1 + s), free of cancellation.  So m_2 = c - 1 gives 1/t, and
+    m_4 = (c - 1)^2 (c + 2)/3 gives (1/s + 2) / (3 t^2).  At n = 3,
+    m_3 = (r/s^2 - atanh r)/2, which the series above replaces near the
+    center.  x is clamped at (1 - BOUNDARY_TOL)^2; the ratio is finite at
+    x = 0.
+    """
+    x = np.minimum(np.asarray(x, dtype=float), (1.0 - BOUNDARY_TOL) ** 2)
+    if n == 3:
+        out = np.empty_like(x)
+        small = x < _M3_SWITCH
+        xs = x[small]
+        series = np.zeros_like(xs)
+        for c in _M3_SERIES:
+            series = series * xs + c
+        out[small] = series
+        xb = x[~small]
+        r = np.sqrt(xb)
+        out[~small] = (r / (1.0 - xb) - np.arctanh(r)) / (2.0 * r * xb)
+        return out
+    s = np.sqrt(1.0 - x)
+    t = s * (1.0 + s)
+    if n == 2:
+        return 1.0 / t
+    return (1.0 / s + 2.0) / (3.0 * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +283,12 @@ _EXACT_3D_ROUNDING = 4.0 * np.finfo(float).eps
 _DEFAULT_MC_SAMPLES = 1_000_000
 _DEFAULT_QUAD_EVALS = 400_000
 _WAVE = 64  # cells refined per quadrature wave
+# Worklist slots a quadrature call allocates at most up front: 64, 120 and
+# 208 MB of address space for n = 2, 3, 4, of which only the filled slots
+# become resident.  That covers any budget below 8M evaluations.  Past it
+# the worklist doubles as it fills, so a huge budget that a converging body
+# never spends does not fail to allocate.
+_RESERVE = 1 << 20
 
 
 def _budget(budget, default: int) -> int:
@@ -295,37 +356,49 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
     apiece (8, 48 and 256 for n = 2, 3, 4), until the summed error meets
     the relative tolerance or the next cell would overrun `budget`.  Only
     the first pass, the root and children of each facet at q (1 + C)
-    evaluations, may exceed the budget.  Flags low_confidence when the
-    tolerance is missed.
+    evaluations, may exceed the budget.  The worklist is allocated once,
+    for as many refinements as the budget left after the first pass pays
+    for (past _RESERVE slots it doubles as it fills, up to that size).
+    Flags low_confidence when the tolerance is missed.
     """
     mapped = translation_to(-center).apply_array(verts)
-    cells = mapped[np.asarray(facets)]  # (F, n, n): simplicial facets
-    _, _, vh = np.linalg.svd(cells[:, 1:] - cells[:, :1])
-    h = np.abs(np.einsum("fn,fn->f", vh[:, -1], cells[:, 0]))
+    roots = mapped[np.asarray(facets)]  # (F, n, n): simplicial facets
+    _, _, vh = np.linalg.svd(roots[:, 1:] - roots[:, :1])
+    h = np.abs(np.einsum("fn,fn->f", vh[:, -1], roots[:, 0]))
     far = h >= 1e-14  # facets through the center add nothing
-    cells = cells[far]
-    d = cells.shape[2] - 1
+    roots = roots[far]
+    size = len(roots)
+    d = roots.shape[1] - 1
+    kid_points = _KID_POINTS[d]
     n_kids, q = len(_CHILDREN[d]), len(_RULES[d][1])
-    weight = h[far] * _measures(cells)
-    kid_vals = (weight / n_kids)[:, None] * _rule(_children(cells))
-    err = _ERR_SAFETY * np.abs(weight * _rule(cells) - kid_vals.sum(axis=1))
-    size = len(cells)
     evals = q * (1 + n_kids) * size
     cost = n_kids * n_kids * q
+    # every refined cell adds C - 1 slots, and the budget pays for `most`
+    most = size + max(budget - evals, 0) // cost * (n_kids - 1)
+    cap = min(most, max(size, _RESERVE))
+    cells = np.empty((cap,) + roots.shape[1:])
+    weight, err = np.empty(cap), np.empty(cap)
+    kid_vals = np.empty((cap, n_kids))
+    cells[:size] = roots
+    weight[:size] = h[far] * _measures(roots)
+    kid_vals[:size] = (weight[:size] / n_kids)[:, None] * _rule(roots, kid_points)
+    err[:size] = _ERR_SAFETY * np.abs(
+        weight[:size] * _rule(roots, _RULES[d][0])[:, 0]
+        - kid_vals[:size].sum(axis=1))
     while err[:size].sum() > _DEFAULT_REL_TOL * abs(kid_vals[:size].sum()):
         k = min(_WAVE, size, (budget - evals) // cost)
         if k < 1:
             break
         worst = np.argpartition(err[:size], size - k)[size - k:]
-        new = _children(cells[worst]).reshape((-1,) + cells.shape[1:])
+        new = _children(cells[worst])
         new_w = np.repeat(weight[worst] / n_kids, n_kids)
-        new_kids = (new_w / n_kids)[:, None] * _rule(_children(new))
+        new_kids = (new_w / n_kids)[:, None] * _rule(new, kid_points)
         new_err = _ERR_SAFETY * np.abs(kid_vals[worst].ravel()
                                        - new_kids.sum(axis=1))
         # the first child of each cell takes its slot, the rest go on the end
         grow = k * (n_kids - 1)
-        if size + grow > len(err):
-            cap = 2 * (size + grow)
+        if size + grow > cap:
+            cap = min(2 * (size + grow), most)
             cells, weight, kid_vals, err = (
                 np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
                 for a in (cells, weight, kid_vals, err))

@@ -36,8 +36,18 @@ from hypervol import (
 )
 from hypervol.experiments import _fmt
 from hypervol.hull import apex_triangulation
+from hypervol import volume as volume_module
 from hypervol.klein import _radial_table
-from hypervol.volume import _radial_mass_ratio, lobachevsky, preferred_method
+from hypervol.volume import (
+    _CHILDREN,
+    _KID_POINTS,
+    _M3_SWITCH,
+    _RULES,
+    _children,
+    _radial_mass_ratio,
+    lobachevsky,
+    preferred_method,
+)
 
 TRI = np.array([[0.3, 0.0], [0.0, 0.3], [-0.25, -0.2]])
 TET = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
@@ -248,27 +258,62 @@ def test_region_mc_workers_invariance():
     assert one.std_error == four.std_error
 
 
-def _mp_radial_mass(n, r):
-    """m_n(r) in closed form; the terms cancel at small r, hence 80 digits."""
+def _mp_mass_ratio(n, x):
+    """m_n(r)/r^n at r = sqrt(x) for the float x, in closed form; the terms
+    cancel at small r, hence 80 digits."""
     with mpmath.workdps(80):
-        r = mpmath.mpf(float(r))
-        g = 1 - r * r
-        return {
+        x = mpmath.mpf(float(x))
+        r, g = mpmath.sqrt(x), 1 - x
+        m = {
             2: g ** -0.5 - 1,
             3: r / (2 * g) - mpmath.atanh(r) / 2,
             4: g ** -1.5 / 3 - g ** -0.5 + mpmath.mpf(2) / 3,
         }[n]
+        return float(m / r ** n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_radial_mass_ratio_at_small_r(n):
     # across 1e-3, where a two-term series once took over and lost 1e-12
     r = np.array([1e-9, 5e-4, 9.99e-4, 1.001e-3, 5e-3])
-    got = _radial_mass_ratio(n, r)
-    for ri, gi in zip(r, got):
-        with mpmath.workdps(80):
-            want = float(_mp_radial_mass(n, ri) / mpmath.mpf(float(ri)) ** n)
+    got = _radial_mass_ratio(n, r * r)
+    for xi, gi in zip(r * r, got):
+        want = _mp_mass_ratio(n, xi)
         assert abs(gi - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_radial_mass_ratio_over_the_whole_range(n):
+    # r from 1e-9 to 1 - 1e-12, densest where the n = 3 closed form's terms
+    # cancel, and on both sides of its series switch
+    x = np.concatenate([
+        np.geomspace(1e-9, 0.99, 240) ** 2,
+        (1.0 - np.geomspace(1e-12, 1e-2, 120)) ** 2,
+        np.linspace(0.2, 0.4, 101) ** 2,
+        [np.nextafter(_M3_SWITCH, 0.0), _M3_SWITCH, np.nextafter(_M3_SWITCH, 1.0)],
+    ])
+    got = _radial_mass_ratio(n, x)
+    want = np.array([_mp_mass_ratio(n, xi) for xi in x])
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    # the limit at the center, m_n(r)/r^n -> 1/n
+    assert _radial_mass_ratio(n, np.zeros(1))[0] == 1.0 / n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_children_are_the_per_child_products(d):
+    # every child weight is 0, 1/2 or 1, so one stacked product is exact
+    cells = np.random.default_rng(d).uniform(-0.6, 0.6, (64, d + 1, d + 1))
+    per_child = _CHILDREN[d] @ cells[:, None]
+    assert _children(cells).tobytes() == per_child.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_precomposed_rule_points_within_a_few_ulp(d):
+    cells = np.random.default_rng(10 + d).uniform(-0.6, 0.6, (64, d + 1, d + 1))
+    composed = _RULES[d][0] @ (_CHILDREN[d] @ cells[:, None])
+    direct = (_KID_POINTS[d] @ cells).reshape(composed.shape)
+    scale = np.abs(cells).max(axis=(1, 2))[:, None, None, None]
+    assert np.all(np.abs(direct - composed) <= 4 * np.spacing(scale))
 
 
 def test_region_mc_zero_hits_low_confidence():
@@ -421,6 +466,30 @@ def test_quadrature_budget_and_stated_tolerance(n, extra, family, seed, budget):
     if n < 4:
         exact = polytope_volume(poly, preferred_method(n)).value
         assert abs(est.value - exact) <= est.achieved_rel_tol * exact
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quadrature_budget_edges(n):
+    # the first pass over each facet, q (1 + C) evaluations with q = n and
+    # C = 2^(n-1), always runs; a refinement runs only once the budget pays
+    # its whole C^2 q, and these near-ideal hulls miss 1e-4 either way
+    poly = convex_hull(generate_points("uniform-ideal", n, n + 4, seed=n))
+    kids = 2 ** (n - 1)
+    first, cost = len(poly.facets) * n * (1 + kids), kids * kids * n
+    for budget, spent in ((1, first), (first + cost - 1, first),
+                          (first + cost, first + cost)):
+        est = polytope_volume(poly, "quadrature", budget=budget)
+        assert est.evaluations == spent
+        assert est.achieved_rel_tol > 1e-4
+        assert est.low_confidence
+
+
+def test_quadrature_worklist_growth_keeps_the_result(monkeypatch):
+    # past _RESERVE slots the worklist doubles as it fills: same cells, same sums
+    poly = convex_hull(generate_points("uniform-ideal", 3, 12, seed=5))
+    whole = polytope_volume(poly, "quadrature", budget=100_000)
+    monkeypatch.setattr(volume_module, "_RESERVE", 1)
+    assert polytope_volume(poly, "quadrature", budget=100_000) == whole
 
 
 def test_quadrature_budget_is_total_on_4d_hull():
