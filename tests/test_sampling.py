@@ -164,7 +164,7 @@ def test_theorem1_sweep_csv_pinned():
     header, rows, _, _ = cmd_theorem1_sweep(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "8e90c92adce7c8ee2ed966669c287f55026118ed80ef06ab0d0946aaf0fea6ca")
+        "cfbdbf4b4e16d6e0713416591888b08bf49225d9ac80baaf44ef8c66d574388a")
 
 
 def test_cone_reports_pinned():
