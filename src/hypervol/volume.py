@@ -283,7 +283,7 @@ _EXACT_3D_ROUNDING = 4.0 * np.finfo(float).eps
 _DEFAULT_MC_SAMPLES = 1_000_000
 _DEFAULT_QUAD_EVALS = 400_000
 _WAVE = 64  # cells refined per quadrature wave
-# Worklist slots a quadrature call allocates at most up front: 64, 120 and
+# Worklist slots a quadrature call allocates at most at once: 64, 120 and
 # 208 MB of address space for n = 2, 3, 4, of which only the filled slots
 # become resident.  That covers any budget below 8M evaluations.  Past it
 # the worklist doubles as it fills, so a huge budget that a converging body
@@ -356,35 +356,29 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
     apiece (8, 48 and 256 for n = 2, 3, 4), until the summed error meets
     the relative tolerance or the next cell would overrun `budget`.  Only
     the first pass, the root and children of each facet at q (1 + C)
-    evaluations, may exceed the budget.  The worklist is allocated once,
-    for as many refinements as the budget left after the first pass pays
-    for (past _RESERVE slots it doubles as it fills, up to that size).
-    Flags low_confidence when the tolerance is missed.
+    evaluations, may exceed the budget.  The first wave allocates the
+    worklist once, for as many refinements as the budget left after the
+    first pass pays for (past _RESERVE slots it doubles as it fills, up to
+    that size).  Flags low_confidence when the tolerance is missed.
     """
     mapped = translation_to(-center).apply_array(verts)
-    roots = mapped[np.asarray(facets)]  # (F, n, n): simplicial facets
-    _, _, vh = np.linalg.svd(roots[:, 1:] - roots[:, :1])
-    h = np.abs(np.einsum("fn,fn->f", vh[:, -1], roots[:, 0]))
+    cells = mapped[np.asarray(facets)]  # (F, n, n): simplicial facets
+    _, _, vh = np.linalg.svd(cells[:, 1:] - cells[:, :1])
+    h = np.abs(np.einsum("fn,fn->f", vh[:, -1], cells[:, 0]))
     far = h >= 1e-14  # facets through the center add nothing
-    roots = roots[far]
-    size = len(roots)
-    d = roots.shape[1] - 1
+    cells = cells[far]
+    d = cells.shape[2] - 1
     kid_points = _KID_POINTS[d]
     n_kids, q = len(_CHILDREN[d]), len(_RULES[d][1])
+    weight = h[far] * _measures(cells)
+    kid_vals = (weight / n_kids)[:, None] * _rule(cells, kid_points)
+    err = _ERR_SAFETY * np.abs(weight * _rule(cells, _RULES[d][0])[:, 0]
+                               - kid_vals.sum(axis=1))
+    size = len(cells)
     evals = q * (1 + n_kids) * size
     cost = n_kids * n_kids * q
-    # every refined cell adds C - 1 slots, and the budget pays for `most`
-    most = size + max(budget - evals, 0) // cost * (n_kids - 1)
-    cap = min(most, max(size, _RESERVE))
-    cells = np.empty((cap,) + roots.shape[1:])
-    weight, err = np.empty(cap), np.empty(cap)
-    kid_vals = np.empty((cap, n_kids))
-    cells[:size] = roots
-    weight[:size] = h[far] * _measures(roots)
-    kid_vals[:size] = (weight[:size] / n_kids)[:, None] * _rule(roots, kid_points)
-    err[:size] = _ERR_SAFETY * np.abs(
-        weight[:size] * _rule(roots, _RULES[d][0])[:, 0]
-        - kid_vals[:size].sum(axis=1))
+    # every refined cell adds C - 1 slots, so the budget pays for `most`
+    most = size + (budget - evals) // cost * (n_kids - 1)
     while err[:size].sum() > _DEFAULT_REL_TOL * abs(kid_vals[:size].sum()):
         k = min(_WAVE, size, (budget - evals) // cost)
         if k < 1:
@@ -397,8 +391,8 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
                                        - new_kids.sum(axis=1))
         # the first child of each cell takes its slot, the rest go on the end
         grow = k * (n_kids - 1)
-        if size + grow > cap:
-            cap = min(2 * (size + grow), most)
+        if size + grow > len(err):
+            cap = min(max(2 * (size + grow), _RESERVE), most)
             cells, weight, kid_vals, err = (
                 np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
                 for a in (cells, weight, kid_vals, err))
