@@ -248,7 +248,7 @@ def _radial_mass_ratio(n: int, x: np.ndarray) -> np.ndarray:
     m_4 = (c - 1)^2 (c + 2)/3 gives (1/s + 2) / (3 t^2).  At n = 3,
     m_3 = (r/s^2 - atanh r)/2, which the series above replaces near the
     center.  x is clamped at (1 - BOUNDARY_TOL)^2; the ratio is finite at
-    x = 0.
+    x = 0.  Other n raise ValueError.
     """
     x = np.minimum(np.asarray(x, dtype=float), (1.0 - BOUNDARY_TOL) ** 2)
     if n == 3:
@@ -267,7 +267,9 @@ def _radial_mass_ratio(n: int, x: np.ndarray) -> np.ndarray:
     t = s * (1.0 + s)
     if n == 2:
         return 1.0 / t
-    return (1.0 / s + 2.0) / (3.0 * t * t)
+    if n == 4:
+        return (1.0 / s + 2.0) / (3.0 * t * t)
+    raise ValueError(f"the radial mass ratio is closed for n = 2, 3, 4, not {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,17 @@ def preferred_method(n: int) -> str:
     return {2: "exact_2d", 3: "exact_3d", 4: "quadrature"}.get(n, "monte_carlo")
 
 
+def _widened(rows: np.ndarray, size: int, cap: int) -> np.ndarray:
+    """The first `size` of `rows` at the head of a new buffer of `cap` rows.
+
+    The rest stays unwritten, so its pages do not become resident until
+    the worklist fills them (copying a whole np.empty block would).
+    """
+    out = np.empty((cap,) + rows.shape[1:])
+    out[:size] = rows[:size]
+    return out
+
+
 def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimate:
     """Sum of the facet cone integrals after moving `center` to the origin.
 
@@ -394,8 +407,7 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
         if size + grow > len(err):
             cap = min(max(2 * (size + grow), _RESERVE), most)
             cells, weight, kid_vals, err = (
-                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
-                for a in (cells, weight, kid_vals, err))
+                _widened(a, size, cap) for a in (cells, weight, kid_vals, err))
         slots = np.column_stack(
             [worst, size + np.arange(grow).reshape(k, n_kids - 1)]).ravel()
         cells[slots], weight[slots] = new, new_w

@@ -299,6 +299,11 @@ def test_radial_mass_ratio_over_the_whole_range(n):
     assert _radial_mass_ratio(n, np.zeros(1))[0] == 1.0 / n
 
 
+def test_radial_mass_ratio_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="n = 2, 3, 4"):
+        _radial_mass_ratio(5, np.array([0.25]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stacked_children_are_the_per_child_products(d):
     # every child weight is 0, 1/2 or 1, so one stacked product is exact
