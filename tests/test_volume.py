@@ -36,7 +36,6 @@ from hypervol import (
 )
 from hypervol.experiments import _fmt
 from hypervol.hull import apex_triangulation
-from hypervol import volume as volume_module
 from hypervol.klein import _radial_table
 from hypervol.volume import (
     _CHILDREN,
@@ -487,14 +486,6 @@ def test_quadrature_budget_edges(n):
         assert est.evaluations == spent
         assert est.achieved_rel_tol > 1e-4
         assert est.low_confidence
-
-
-def test_quadrature_worklist_growth_keeps_the_result(monkeypatch):
-    # past _RESERVE slots the worklist doubles as it fills: same cells, same sums
-    poly = convex_hull(generate_points("uniform-ideal", 3, 12, seed=5))
-    whole = polytope_volume(poly, "quadrature", budget=100_000)
-    monkeypatch.setattr(volume_module, "_RESERVE", 1)
-    assert polytope_volume(poly, "quadrature", budget=100_000) == whole
 
 
 def test_quadrature_budget_is_total_on_4d_hull():
