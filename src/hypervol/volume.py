@@ -385,10 +385,13 @@ def _quadrature(verts: np.ndarray, center, facets, budget: int) -> VolumeEstimat
         # the first child of each cell takes its slot, the rest go on the end
         grow = k * (n_kids - 1)
         if size + grow > len(err):
-            cap = 2 * (size + grow)
-            cells, weight, kid_vals, err = (
-                np.concatenate([a, np.empty((cap - len(a),) + a.shape[1:])])
-                for a in (cells, weight, kid_vals, err))
+            # copy only the filled rows: the rest stays unwritten
+            grown = []
+            for a in (cells, weight, kid_vals, err):
+                b = np.empty((2 * (size + grow),) + a.shape[1:])
+                b[:size] = a[:size]
+                grown.append(b)
+            cells, weight, kid_vals, err = grown
         slots = np.column_stack(
             [worst, size + np.arange(grow).reshape(k, n_kids - 1)]).ravel()
         cells[slots], weight[slots] = new, new_w
@@ -646,10 +649,13 @@ def lobachevsky(x):
     t2 = theta * theta
     series = np.zeros_like(theta)
     for c in _CLAUSEN:
-        series = series * t2 + c
+        series *= t2
+        series += c
     mag = np.abs(theta)
     log = np.log(np.where(mag > 0.0, mag, 1.0))
-    return 0.5 * theta * (1.0 - log + t2 * series)
+    series *= t2
+    series += 1.0 - log
+    return 0.5 * theta * series
 
 
 def _orthoscheme_volume(h, a, b):
