@@ -18,6 +18,7 @@ composition is numerically stable and keeps chords straight.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -318,14 +319,14 @@ def unit_sphere_area(k: int) -> float:
 def sinh_power_integral(m: int, w) -> np.ndarray | float:
     """integral_0^w sinh(t)^m dt, vectorized over w, for 0 <= m < _MAX_DIM.
 
-    Uses the reduction
-        I_m = sinh^(m-1)(w) cosh(w)/m - (m-1)/m I_(m-2)
-    with a Taylor series below w = 0.01 where the reduction would cancel.
-    A Python float (np.float64 included) runs the same recurrence and
-    series on `math` and returns a float: scalar integrands call this once
-    per point, where numpy's per-call cost would dominate.  Any other
-    scalar returns a float through the numpy path, and arrays return
-    arrays.
+    From w = 1 up, and at every w for m <= 1, uses the reduction
+        I_m = sinh^(m-1)(w) cosh(w)/m - (m-1)/m I_(m-2).
+    Below w = 1 it cancels for m >= 2, and the Taylor series of
+    `_sinh_power_coefficients` takes over.  A Python float (np.float64
+    included) runs the same recurrence and series on `math` and returns a
+    float: scalar integrands call this once per point, where numpy's
+    per-call cost would dominate.  Any other scalar returns a float
+    through the numpy path, and arrays return arrays.
     """
     if not 0 <= m < _MAX_DIM:
         raise ValueError(f"unsupported sinh power {m}: must be in 0..{_MAX_DIM - 1}")
@@ -333,7 +334,7 @@ def sinh_power_integral(m: int, w) -> np.ndarray | float:
         w = float(w)
         if w < 0:
             raise ValueError("negative upper limit")
-        if m >= 2 and w < 1e-2:
+        if m >= 2 and w < _SERIES_BELOW:
             return _sinh_power_series(m, w)
         return _sinh_power_recursive(m, w, math.sinh, math.cosh)
     w_arr = np.asarray(w, dtype=float)
@@ -343,9 +344,9 @@ def sinh_power_integral(m: int, w) -> np.ndarray | float:
         raise ValueError("negative upper limit")
     out = _sinh_power_recursive(m, w_arr, np.sinh, np.cosh)
     if m >= 2:
-        small = w_arr < 1e-2
+        small = w_arr < _SERIES_BELOW
         if np.any(small):
-            out = np.where(small, _sinh_power_series(m, w_arr), out)
+            out[small] = _sinh_power_series(m, w_arr[small])
     return float(out[0]) if scalar else out
 
 
@@ -365,44 +366,58 @@ def _sinh_power_recursive(m: int, w, sinh, cosh):
     return prev2
 
 
+# The series runs below w = 1, where the reduction's two terms cancel.
+# Its terms are positive, and at w = 1 the 24th is below 2^-56 of the
+# sum for every m <= 15 (it falls like 2.5^j / j! at m = 15).
+_SERIES_BELOW = 1.0
+_SERIES_TERMS = 24
+
+
+@functools.cache
+def _sinh_power_coefficients(m: int) -> tuple[float, ...]:
+    """c_j with I_m(w) = w^(m+1) sum_j c_j w^(2j), highest j first.
+
+    (sinh t / t)^m = sum_j a_j t^(2j) gives c_j = a_j / (m + 1 + 2j).
+    Expanding sinh^m t = 2^-m sum_k (-1)^k C(m, k) e^((m - 2k) t) makes
+    each c_j a ratio of integers, which Python divides correctly rounded.
+    """
+    coeffs = []
+    for j in reversed(range(_SERIES_TERMS)):
+        p = m + 2 * j
+        num = sum((-1) ** k * math.comb(m, k) * (m - 2 * k) ** p
+                  for k in range(m + 1))
+        coeffs.append(num / (2 ** m * math.factorial(p) * (p + 1)))
+    return tuple(coeffs)
+
+
 def _sinh_power_series(m: int, w):
-    # sinh^m t = t^m (1 + m t^2/6 + (m/120 + m(m-1)/72) t^4 + O(t^6))
-    c2 = m / 6.0
-    c4 = m / 120.0 + m * (m - 1) / 72.0
-    return w ** (m + 1) * (
-        1.0 / (m + 1) + c2 * w * w / (m + 3) + c4 * w ** 4 / (m + 5)
-    )
+    # Horner's rule in w^2, the same operations for a float or an array
+    w2 = w * w
+    total = 0.0
+    for c in _sinh_power_coefficients(m):
+        total = total * w2 + c
+    return w ** (m + 1) * total
 
 
 def _radial_table(n: int, w_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Hyperbolic radii on 4097 even nodes of [0, w_max], and the
     cumulative integral_0^w sinh^(n-1) at them: the radial inverse-CDF
     table of the uniform measure on a ball in dimension n.
-
-    The table is the running maximum of those integrals, so it never
-    descends.  From n = 9 on, the recurrence's rounding makes a few early
-    values dip, all where the CDF is below 1e-19 of its last value.
     """
     radii = np.linspace(0.0, w_max, 4097)
-    return radii, np.maximum.accumulate(sinh_power_integral(n - 1, radii))
+    return radii, sinh_power_integral(n - 1, radii)
 
 
 def ball_volume(n: int, r: float) -> float:
     """Volume of a hyperbolic ball of radius r in dimension n (2 <= n <= _MAX_DIM).
 
-    Equals sigma_(n-1) * integral_0^r sinh(t)^(n-1) dt; for n = 2 this is
-    2 pi (cosh r - 1).  Evaluated by adaptive quadrature at 1e-10 relative
-    tolerance per the accuracy contract (the closed forms serve as test
-    oracles, not as the implementation).
+    The closed form sigma_(n-1) * integral_0^r sinh(t)^(n-1) dt, with the
+    radial integral from `sinh_power_integral`; for n = 2 this is
+    2 pi (cosh r - 1).  The tests check it against adaptive quadrature.
     """
     _check_dimension(n)
     _check_radius(r)
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda t: math.sinh(t) ** (n - 1), 0.0, r, epsabs=0.0, epsrel=1e-10, limit=200
-    )
-    return unit_sphere_area(n - 1) * val
+    return unit_sphere_area(n - 1) * sinh_power_integral(n - 1, float(r))
 
 
 def ball_boundary_array(centers, r: float, count: int, seed: int) -> np.ndarray:

@@ -180,10 +180,30 @@ def test_class_members_are_read(path):
 
 
 def test_import_defers_scipy_integrate():
-    # scipy.integrate pulls in scipy.optimize; only ball_volume and the
-    # cone quadrature need it, and they import it on first use
+    # scipy.integrate pulls in scipy.optimize; only the cone quadrature
+    # needs it, and it imports it on first use
     code = ("import sys; import hypervol, hypervol.cli; "
             "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_closed_paths_load_no_quadpack():
+    # theorem 2 in 2D and 3D and the packing floor are closed forms end to end
+    code = """
+import sys
+import numpy as np
+from hypervol import RunConfig, extension_volume, generate_points
+from hypervol.experiments import cmd_theorem2_check
+cmd_theorem2_check(RunConfig(command="theorem2-check", dims=(2, 3), instances=1,
+                             mc_samples=20_000, boundary_samples=64))
+for n in (2, 3):
+    extension_volume(generate_points("uniform-ball", n, 10, 3), 0.7,
+                     check_lower_bound=True)
+print('scipy.integrate' in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                          capture_output=True, text=True, check=True)

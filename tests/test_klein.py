@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -203,14 +204,40 @@ def test_sinh_power_integral_against_quad():
         assert_allclose(float(hv.sinh_power_integral(m, w)), direct, rtol=1e-10)
 
 
+def _sinh_power_mp(m, w):
+    """integral_0^w sinh^m in 50 digits, from the exponential sum
+    sinh^m t = 2^-m sum_k (-1)^k C(m, k) e^((m - 2k) t).  Its terms cancel
+    to about w^(m+1), so the working precision grows with that."""
+    digits = 50 + int((m + 1) * max(0.0, -math.log10(w)))
+    with mpmath.workdps(digits):
+        w = mpmath.mpf(w)
+        total = 0
+        for k in range(m + 1):
+            a = m - 2 * k
+            total += ((-1) ** k * mpmath.binomial(m, k)
+                      * (w if a == 0 else mpmath.expm1(a * w) / a))
+        return total / 2 ** m
+
+
+# 1e-8 to 30, around the old series switch at 1e-2 and the switch at 1
+_MP_WS = sorted({0.0099, 0.0101, 0.999, 1.001, 1.0, *np.geomspace(1e-8, 30.0, 37)})
+
+
+@pytest.mark.parametrize("m", range(16))
+def test_sinh_power_integral_against_mpmath(m):
+    ref = np.array([float(_sinh_power_mp(m, w)) for w in _MP_WS])
+    assert_allclose(hv.sinh_power_integral(m, np.array(_MP_WS)), ref,
+                    rtol=1e-13, atol=0.0)
+    got = [hv.sinh_power_integral(m, w) for w in _MP_WS]
+    assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize("m", range(16))
 def test_sinh_power_integral_float_branch_matches_arrays(m):
-    # w on both sides of the 1e-2 series switch and up to 15.  Just above
-    # the switch the recurrence cancels for large m and magnifies the
-    # last-ulp differences between numpy's and libm's sinh/cosh far past
-    # 1e-12 (its accuracy there is its own open item, see CHANGES.md), so
-    # the recurrence side starts at 0.5, where it is well conditioned.
-    ws = np.array([0.0, 1e-4, 5e-3, 9.99e-3, 0.5, 1.0, 2.0, 7.5, 15.0])
+    # w on both sides of the series switch at 1 and far out on each side;
+    # the two paths differ only in numpy's and libm's sinh, cosh and pow
+    ws = np.array([0.0, 1e-8, 1e-4, 5e-3, 9.99e-3, 0.0101, 0.5, 0.999, 1.0,
+                   1.001, 2.0, 7.5, 15.0, 30.0])
     arr = hv.sinh_power_integral(m, ws)
     for w, ref in zip(ws, arr):
         for scalar in (float(w), w):  # a Python float and an np.float64
@@ -327,12 +354,29 @@ def test_one_interior_point_check(entry, bad, tmp_path):
         assert not (tmp_path / "cloud.csv").exists()
 
 
+def _ball_volume_by_quad(n, r):
+    """The oracle for ball_volume: sigma_(n-1) times QUADPACK's integral
+    of sinh^(n-1) over [0, r]."""
+    val, _ = integrate.quad(lambda t: math.sinh(t) ** (n - 1), 0.0, r,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return hv.unit_sphere_area(n - 1) * val
+
+
+_ORACLE_RADII = (1e-3, 0.05, 0.5, 1.0, 2.0, 7.25)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ball_volume_low_dimensions(n):
+    for r in _ORACLE_RADII:
+        assert_allclose(hv.ball_volume(n, r), _ball_volume_by_quad(n, r),
+                        rtol=1e-12)
+
+
 @pytest.mark.parametrize("n", range(9, 17))
 def test_ball_volume_high_dimensions(n):
-    # below r = 1 at n >= 15 the sinh recurrence itself is off by ~5e-9
-    for r in (1.0, 2.0):
-        radial = hv.unit_sphere_area(n - 1) * hv.sinh_power_integral(n - 1, r)
-        assert_allclose(hv.ball_volume(n, r), radial, rtol=1e-9)
+    for r in _ORACLE_RADII:
+        assert_allclose(hv.ball_volume(n, r), _ball_volume_by_quad(n, r),
+                        rtol=1e-12)
 
 
 def test_ball_boundary_points():
