@@ -76,8 +76,8 @@ def test_polytope_mc_pinned():
 
 
 @pytest.mark.parametrize("bounding_radius, value, std_error", [
-    (0.9, 1.2146215143308665, 0.018298863253530608),
-    (0.995, 1.0769979963310614, 0.09663160915261858),
+    (0.9, 1.2146215143308614, 0.018298863253530535),
+    (0.995, 1.0769979963310694, 0.09663160915261929),
 ])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_region_mc_pinned(bounding_radius, value, std_error, workers):
