@@ -92,7 +92,7 @@ def test_region_mc_pinned(bounding_radius, value, std_error, workers):
      13.102870349456008, 0.05751507210218059),
     # criterion-8 instance 45: bounding radius 0.975
     (("uniform-ball", 3, 10, 845), 0.7, 600_000, 845,
-     12.725236889655015, 0.045553426004890256),
+     12.725236889655022, 0.045553426004890284),
     # from n = 4 on, the union itself is region Monte Carlo
     (("clustered", 4, 20, 104), 1.0, 200_000, 104,
      56.38954607445323, 5.256842226784093),
