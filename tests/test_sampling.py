@@ -154,7 +154,7 @@ def test_theorem2_check_csv_pinned():
     header, rows, _, _ = cmd_theorem2_check(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "68eaa984f1d2c14bf76c484b53c64db40483b72353b91160b4698a9f4d05fd4d")
+        "03d33354c43368b3262d4b1d5e5f7a304b143407ac6a3037eb5535f3ede39d90")
 
 
 def test_theorem1_sweep_csv_pinned():
