@@ -203,7 +203,7 @@ def test_generate_points_digest():
             for seed in range(5):
                 digest.update(generate_points(family, n, 13, seed).tobytes())
     assert digest.hexdigest() == (
-        "9e0263b66e8ad5699ba99c1d907daaf4ee95124a6f2af4b10ac93b4cd0e3a17c")
+        "7fabbd3bce39af2dffac6bf7a6d01ce7aeae19152213f2720591a5b2f954da7a")
 
 
 # ---------------------------------------------------------------------------
