@@ -367,8 +367,8 @@ def _sinh_power_recursive(m: int, w, sinh, cosh):
 
 
 # The series runs below w = 1, where the reduction's two terms cancel.
-# Its terms are positive, and at w = 1 the 24th is below 2^-56 of the
-# sum for every m <= 15 (it falls like 2.5^j / j! at m = 15).
+# Its terms are positive and fall with j; at w = 1 the 24th is below
+# 2^-56 of the sum for every m <= 15.
 _SERIES_BELOW = 1.0
 _SERIES_TERMS = 24
 
