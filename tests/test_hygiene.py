@@ -194,7 +194,6 @@ def test_closed_paths_load_no_quadpack():
     # theorem 2 in 2D and 3D and the packing floor are closed forms end to end
     code = """
 import sys
-import numpy as np
 from hypervol import RunConfig, extension_volume, generate_points
 from hypervol.experiments import cmd_theorem2_check
 cmd_theorem2_check(RunConfig(command="theorem2-check", dims=(2, 3), instances=1,

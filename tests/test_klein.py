@@ -1,7 +1,7 @@
 import math
 
-import numpy as np
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
