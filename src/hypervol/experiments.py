@@ -401,7 +401,8 @@ def cmd_theorem2_check(config: RunConfig):
 def cmd_cone_table(config: RunConfig):
     """Bounding-integral values against the explicit majorant.
 
-    Also recomputes the t-identities and both summands per row; per-n
+    Also recomputes both summands per row and the t-identities once per
+    phi (t does not depend on n); per-n
     maxima are recorded as empirical constants and must be non-increasing
     from n = 3 on.
     """
@@ -416,6 +417,12 @@ def cmd_cone_table(config: RunConfig):
     grid = np.linspace(0.0, 1.0, 10_001)
     for n in config.cone_dims:
         _check_dimension(n)  # before the first row, not partway through
+    # t(u) does not depend on n: one pass per phi below the cap
+    t_values = {
+        phi: (t_function(0.0, phi), t_function(math.sin(phi) ** 2, phi),
+              t_function(1.0, phi), float(np.min(t_function(grid, phi))))
+        for phi in config.phis if phi < PHI_CAP
+    }
     for n in config.cone_dims:
         for phi in config.phis:
             if phi >= PHI_CAP:
@@ -426,10 +433,7 @@ def cmd_cone_table(config: RunConfig):
             f_quad = first_summand_quad(n, phi)
             f_closed = first_summand_closed(n, phi)
             sec = second_summand(n, phi)
-            t0 = t_function(0.0, phi)
-            tb = t_function(math.sin(phi) ** 2, phi)
-            t1 = t_function(1.0, phi)
-            tmin = float(np.min(t_function(grid, phi)))
+            t0, tb, t1, tmin = t_values[phi]
             rows.append([
                 n, phi, config.seed, config.budget, val, maj, f_quad,
                 f_closed, sec, t0, tb, t1, tmin,

@@ -404,6 +404,100 @@ def test_bound_matches_polar_chart_at_narrow_apertures(n):
         assert cone_integral_bound(n, phi) == pytest.approx(polar, rel=1e-8)
 
 
+def _mp_uv_triangle(n, verts):
+    """`cones._uv_triangle`'s integral in 30 digits.
+
+    The float vertices are taken as exact.  The inner v-integral is the
+    same closed antiderivative, and mpmath's tanh-sinh rule integrates
+    the outer one over each of the two u-intervals whole.
+    """
+    with mpmath.workdps(30):
+        (u0, v0), (u1, v1), (u2, v2) = sorted(
+            (mpmath.mpf(u), mpmath.mpf(v)) for u, v in verts)
+
+        def line(ua, va, ub, vb):
+            return lambda u: (va * (ub - u) + vb * (u - ua)) / (ub - ua)
+
+        def inner(s, d):
+            return s ** (n - 1) / ((n - 1) * d * (d - s * s) ** (mpmath.mpf(n - 1) / 2))
+
+        long_edge = line(u0, v0, u2, v2)
+        above = v1 >= long_edge(u1)
+        total = mpmath.mpf(0)
+        for lo, hi, short in ((u0, u1, line(u0, v0, u1, v1)),
+                              (u1, u2, line(u1, v1, u2, v2))):
+            if hi > lo:
+                top, bottom = (short, long_edge) if above else (long_edge, short)
+                total += mpmath.quad(
+                    lambda u: inner(top(u), 2 * u - u * u)
+                    - inner(bottom(u), 2 * u - u * u), [lo, hi])
+        return float(total)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_uv_triangle_against_mpmath_on_the_bound_grid(n):
+    for phi in RunConfig().phis + (0.001, 0.002, 0.003, 0.3, 0.7):
+        s, c = math.sin(phi), math.cos(phi)
+        tri = [(0.0, 0.0), (s * s, s * c), (1.0, 0.0)]
+        want = _mp_uv_triangle(n, tri)
+        val, err, _ = cones._uv_triangle(n, tri)
+        assert abs(val - want) <= 1e-13 * want
+        assert err >= abs(val - want)
+        assert cone_integral_bound(n, phi) == val
+
+
+NARROW_2D = ConeSection(
+    apex=IdealPoint([1.0, 0.0]), direction=[0.0, 1.0],
+    far_point=[0.9999984153626227, 0.0010414586890180385],
+    origin_angle=math.atan2(0.0010414586890180385, 0.9999984153626227),
+    apex_radius=1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("n, sec", [
+    (n, ideal_section(n, phi, rad))
+    for n in (2, 3, 4, 6) for phi in (0.02, 0.07, 0.25) for rad in (1.0, 0.999)
+] + [(2, NARROW_2D), (3, NARROW_2D)])
+def test_uv_chart_against_mpmath(n, sec):
+    # the sections of test_charts_agree_ideal_and_truncated and the
+    # 0.001-rad one of test_uv_chart_on_narrow_near_ideal_section
+    a, b = sec.plane_coords()
+    tri = [(1.0 - sec.apex_radius, 0.0), (1.0 - a, b), (1.0, 0.0)]
+    want = _mp_uv_triangle(n, tri)
+    val, err, evals = cones._uv_triangle(n, tri)
+    assert section_integral(sec, n, chart="uv") == (val, evals)
+    assert abs(val - want) <= 1e-14 * want
+    assert err >= abs(val - want)
+
+
+def test_first_summand_quad_against_the_closed_form():
+    for n in range(2, 17):
+        for phi in RunConfig().phis + (0.001, 0.3, 0.7):
+            assert first_summand_quad(n, phi) == pytest.approx(
+                first_summand_closed(n, phi), rel=1e-14, abs=0.0)
+
+
+def test_bounding_chain_and_uv_chart_do_not_reach_quadpack(monkeypatch):
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(cones, "_quad", no_quadpack)
+    for n in (2, 3, 8):
+        assert cone_integral_bound(n, 0.05) > 0.0
+        assert first_summand_quad(n, 0.05) > 0.0
+        assert section_integral(ideal_section(n, 0.05, 0.999), n, chart="uv")[0] > 0.0
+    with pytest.raises(AssertionError, match="QUADPACK"):
+        section_integral(ideal_section(4, 0.05), 4, chart="polar")
+
+
+def test_bound_raises_past_its_stated_error(monkeypatch):
+    # a stated error past 1e-9 of the value is a loud failure
+    monkeypatch.setattr(cones, "_uv_triangle", lambda n, verts: (0.5, 1e-9, 36))
+    with pytest.raises(cones.SingularIntegralError, match="states error"):
+        cone_integral_bound(3, 0.05)
+    monkeypatch.setattr(cones, "_uv_triangle", lambda n, verts: (0.5, 4e-10, 36))
+    assert cone_integral_bound(3, 0.05) == 0.5
+
+
 def test_bound_argument_validation():
     with pytest.raises(ValueError):
         cone_integral_bound(1, 0.05)

@@ -180,8 +180,8 @@ def test_class_members_are_read(path):
 
 
 def test_import_defers_scipy_integrate():
-    # scipy.integrate pulls in scipy.optimize; only the cone quadrature
-    # needs it, and it imports it on first use
+    # scipy.integrate pulls in scipy.optimize; only the polar chart of
+    # the cone section integrals needs it, and it imports it on first use
     code = ("import sys; import hypervol, hypervol.cli; "
             "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
@@ -201,6 +201,31 @@ cmd_theorem2_check(RunConfig(command="theorem2-check", dims=(2, 3), instances=1,
 for n in (2, 3):
     extension_volume(generate_points("uniform-ball", n, 10, 3), 0.7,
                      check_lower_bound=True)
+print('scipy.integrate' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_vertex_cone_paths_load_no_quadpack():
+    # a run shaped like the certificates benchmark: the bounding-integral
+    # table, planar and 3D cone reports and the facet decomposition
+    code = """
+import sys
+import numpy as np
+from hypervol import (RunConfig, Simplex, cone_report, convex_hull,
+                      generate_points, verify_facet_decomposition)
+from hypervol.experiments import cmd_cone_table
+_, _, failures, _ = cmd_cone_table(RunConfig(command="cone-table"))
+assert failures == [], failures
+for n in (2, 3):
+    poly = convex_hull(generate_points("uniform-ideal", n, 12, 3))
+    cone_report(poly, poly.vertices[0], 32)
+    poly = convex_hull(generate_points("uniform-ball", n, 12, 3))
+    verts = np.vstack([np.zeros(n), poly.vertices[list(poly.facets[0])]])
+    verify_facet_decomposition(Simplex(verts), poly, budget=20_000)
 print('scipy.integrate' in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
