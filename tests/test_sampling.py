@@ -183,7 +183,7 @@ def test_cone_table_csv_pinned():
     header, rows, _, _ = cmd_cone_table(cfg)
     digest = hashlib.sha256(render_csv(header, rows).encode()).hexdigest()
     assert digest == (
-        "1b25f9e7878ae73493e61cfb1a5370fab5371f7f2f32bea19f62d18b14b2f218")
+        "a90eb727193490d90cdd6c97f178bd1cc787def8d09a7d10d1684469dade0424")
 
 
 def test_mass_near_vertices_repeated_threshold():
