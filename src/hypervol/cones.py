@@ -380,13 +380,12 @@ def _panel_nodes(edges: np.ndarray, squared: bool):
     which makes a u^(k/2) endpoint behaviour at a smooth in tau.
     """
     tau, _ = _gauss_table()
-    a, width = edges[:-1, None], np.diff(edges)[:, None]
-    t = np.tile(tau, (a.shape[0], 1))
-    jac = np.broadcast_to(width, t.shape).copy()
+    shape = (edges.size - 1, tau.size)
+    t, scale = np.broadcast_to(tau, shape).copy(), np.ones(shape)
     if squared:
-        t[0] = tau * tau
-        jac[0] *= 2.0 * tau
-    return a + width * t, jac
+        t[0], scale[0] = tau * tau, 2.0 * tau
+    width = (edges[1:] - edges[:-1])[:, None]
+    return edges[:-1, None] + width * t, width * scale
 
 
 def _panel_edges(lo: float, hi: float, gap_lo: float, gap_hi: float) -> np.ndarray:
@@ -615,9 +614,10 @@ def first_summand_quad(n: int, phi: float) -> float:
     """
     _check_dimension(n)
     s2 = math.sin(phi) ** 2
+    _, weights = _gauss_table()
     u, jac = _panel_nodes(np.array([0.0, s2]), True)
     f = (1.0 / math.tan(phi)) ** (n - 1) * u ** ((n - 3) / 2.0)
-    return float(((jac * f) @ _gauss_table()[1][0])[0])
+    return float(((jac * f) @ weights[0])[0])
 
 
 def second_summand(n: int, phi: float) -> float:

@@ -402,9 +402,8 @@ def cmd_cone_table(config: RunConfig):
     """Bounding-integral values against the explicit majorant.
 
     Also recomputes both summands per row and the t-identities once per
-    phi (t does not depend on n); per-n
-    maxima are recorded as empirical constants and must be non-increasing
-    from n = 3 on.
+    phi; per-n maxima are recorded as empirical constants and must be
+    non-increasing from n = 3 on.
     """
     header = [
         "n", "phi", "seed", "budget", "value", "majorant", "first_quad",
